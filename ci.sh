@@ -121,4 +121,26 @@ echo "==> compromised-minority quorum smoke (release, bounded, asserted)"
 NRSLB_E20_ASSERT=1 NRSLB_SCALE=12 NRSLB_JSON="$(mktemp)" \
     cargo run --release -q -p nrslb-bench --bin e20_quorum
 
+echo "==> verdict cost ledger tests"
+# The ledger is its own package, so the workspace steps above never
+# build it. Building it here makes a change to a workspace API it uses
+# fail in CI rather than at benchmark time; its tests include the one
+# showing a single corrupted reference verdict fails a run.
+cargo test --offline -q --manifest-path ledger/Cargo.toml
+
+echo "==> verdict cost ledger smoke (release, bounded, asserted)"
+# The BENCHMARK.json command, untraced, 10 s per workload: the last
+# stdout line must report every reply checked correct. Ten seconds is
+# the shortest run in which hammurabi meets the ledger's 1000-sample
+# floor (400 req/s x 0.3 x 10 s = 1200); the schedule fixes the sample
+# counts, so the smoke does not depend on timing.
+for workload in daemon_hit daemon_miss feed_churn hammurabi; do
+    last=$(cargo run --release --offline --quiet --manifest-path ledger/Cargo.toml -- \
+        --workload "$workload" --seed 1 --seconds 10 --trace 0 | tail -n 1) || true
+    case "$last" in
+        '{"correct": true'*) echo "    $workload: correct" ;;
+        *) echo "ledger $workload: not correct: $last" >&2; exit 1 ;;
+    esac
+done
+
 echo "==> CI green"

@@ -10,15 +10,21 @@
 //! String matching (wildcards, name-constraint subtrees) is likewise
 //! precomputed into auxiliary relations (`subtreeMatch/2`, `hostOk/1`),
 //! because pure Datalog has no string primitives.
+//!
+//! The full program is a pure function of the GCC sources attached to the
+//! chain's root, so it is compiled once per GCC set and kept in a bounded
+//! process-wide cache keyed by those sources' hashes (DESIGN.md §5h).
 
+use crate::cache::{ShardedLru, DEFAULT_CACHE_SHARDS};
 use crate::facts::{add_chain_facts, cert_id, chain_id};
 use crate::validate::{RejectReason, ValidatorConfig};
 use crate::CoreError;
-use nrslb_datalog::{Database, Engine, Program, Val};
-use nrslb_rootstore::{RootStore, Usage};
+use nrslb_crypto::sha256::{Digest, Sha256};
+use nrslb_datalog::{CompiledProgram, Database, Program, Val};
+use nrslb_rootstore::{Gcc, RootStore, Usage};
 use nrslb_x509::name::in_subtree;
 use nrslb_x509::Certificate;
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 /// The validation policy, as Datalog source. Public so documentation and
 /// examples can show the complete program.
@@ -115,15 +121,34 @@ pub fn namespace_program(program: &Program, suffix: &str) -> Program {
     Program { rules }
 }
 
-/// Build the complete program for a chain: the base [`POLICY`], plus each
-/// attached GCC namespaced apart and wired into `chainBad` via
-/// `gccBad`.
-fn full_program(
-    store: &RootStore,
-    root_fp: &nrslb_crypto::sha256::Digest,
-) -> Result<Program, CoreError> {
+/// How many compiled programs the process keeps: one per distinct GCC
+/// set. Incident GCCs are shared across roots by retargeting, so a real
+/// store holds few distinct sets; a miss only costs one compile.
+const PROGRAM_CACHE_CAPACITY: usize = 128;
+
+/// Compiled full programs keyed by [`gcc_set_key`]. The key is the whole
+/// input of [`full_program`], so an entry can never go stale: a store
+/// swap or feed delta that changes a root's GCCs changes its key.
+fn program_cache() -> &'static ShardedLru<Digest, Arc<CompiledProgram>> {
+    static CACHE: OnceLock<ShardedLru<Digest, Arc<CompiledProgram>>> = OnceLock::new();
+    CACHE.get_or_init(|| ShardedLru::new(PROGRAM_CACHE_CAPACITY, DEFAULT_CACHE_SHARDS))
+}
+
+/// SHA-256 over the GCCs' source hashes, in attachment order (the order
+/// fixes the `__g{i}` namespaces).
+fn gcc_set_key(gccs: &[Gcc]) -> Digest {
+    let mut h = Sha256::new();
+    for gcc in gccs {
+        h.update(gcc.source_hash());
+    }
+    h.finalize()
+}
+
+/// Build the complete program for a GCC set: the base [`POLICY`], plus
+/// each GCC namespaced apart and wired into `chainBad` via `gccBad`.
+fn full_program(gccs: &[Gcc]) -> Program {
     let mut program = Program::parse(POLICY).expect("base policy parses");
-    for (i, gcc) in store.gccs_for(root_fp).iter().enumerate() {
+    for (i, gcc) in gccs.iter().enumerate() {
         let suffix = format!("__g{i}");
         let renamed = namespace_program(gcc.program(), &suffix);
         program.rules.extend(renamed.rules);
@@ -134,7 +159,20 @@ fn full_program(
         let wire = Program::parse(&wire).expect("wire rules parse");
         program.rules.extend(wire.rules);
     }
-    Ok(program)
+    program
+}
+
+/// The compiled full program for `gccs`, from the cache or compiled now.
+/// A compile error (a GCC that reads the policy's own predicates can
+/// close a negative cycle through `gccBad`) is returned, not cached.
+fn compiled_program(gccs: &[Gcc]) -> Result<Arc<CompiledProgram>, CoreError> {
+    let key = gcc_set_key(gccs);
+    if let Some(compiled) = program_cache().get(&key) {
+        return Ok(compiled);
+    }
+    let compiled = Arc::new(CompiledProgram::compile(&full_program(gccs))?);
+    program_cache().insert(key, Arc::clone(&compiled));
+    Ok(compiled)
 }
 
 /// Inject the per-validation facts the policy needs beyond the chain
@@ -144,6 +182,7 @@ fn full_program(
 fn add_policy_facts(
     db: &mut Database,
     chain: &[Certificate],
+    sig_ok: &[bool],
     usage: Usage,
     now: i64,
     hostname: Option<&str>,
@@ -154,9 +193,8 @@ fn add_policy_facts(
     db.add_fact("now", vec![Val::int(now)]);
     db.add_fact("queryUsage", vec![Val::str(usage.as_datalog())]);
     // Signature results (crypto outside the program).
-    for (i, cert) in chain.iter().enumerate() {
-        let issuer = chain.get(i + 1).unwrap_or(cert);
-        if cert.verify_signed_by(issuer).is_ok() {
+    for (cert, &ok) in chain.iter().zip(sig_ok) {
+        if ok {
             db.add_fact("sigOk", vec![Val::str(cert_id(cert))]);
         }
     }
@@ -217,8 +255,10 @@ fn add_policy_facts(
 
 /// Evaluate the full policy program for one candidate chain.
 ///
-/// Returns `Ok(Ok(()))` on acceptance, `Ok(Err(reason))` on rejection,
-/// `Err` only on engine failure.
+/// Every link's signature is verified here, natively, and the results
+/// enter the program as `sigOk` facts. Returns `Ok(Ok(()))` on
+/// acceptance, `Ok(Err(reason))` on rejection, `Err` only on engine
+/// failure.
 #[allow(clippy::too_many_arguments)]
 pub fn evaluate_chain(
     chain: &[Certificate],
@@ -229,26 +269,50 @@ pub fn evaluate_chain(
     config: ValidatorConfig,
     revocation: Option<&dyn nrslb_revocation::RevocationChecker>,
 ) -> Result<Result<(), RejectReason>, CoreError> {
+    let sig_ok: Vec<bool> = chain
+        .iter()
+        .enumerate()
+        .map(|(i, cert)| {
+            let issuer = chain.get(i + 1).unwrap_or(cert);
+            cert.verify_signed_by(issuer).is_ok()
+        })
+        .collect();
+    evaluate_with_signatures(
+        chain, &sig_ok, usage, now, hostname, store, config, revocation,
+    )
+}
+
+/// [`evaluate_chain`] with the signature results supplied by the caller:
+/// `sig_ok[i]` says whether `chain[i]` verifies under `chain[i + 1]` (the
+/// root under itself). The validator passes its signature memo's answers
+/// here, so no link is verified twice.
+#[allow(clippy::too_many_arguments)]
+pub(crate) fn evaluate_with_signatures(
+    chain: &[Certificate],
+    sig_ok: &[bool],
+    usage: Usage,
+    now: i64,
+    hostname: Option<&str>,
+    store: &RootStore,
+    config: ValidatorConfig,
+    revocation: Option<&dyn nrslb_revocation::RevocationChecker>,
+) -> Result<Result<(), RejectReason>, CoreError> {
+    debug_assert_eq!(sig_ok.len(), chain.len(), "one signature result per link");
     let root_fp = chain.last().expect("chain non-empty").fingerprint();
-    let program = full_program(store, &root_fp)?;
+    let gccs = store.gccs_for(&root_fp);
+    let program = compiled_program(gccs)?;
     let mut db = Database::new();
     add_chain_facts(chain, &mut db);
     add_policy_facts(
-        &mut db, chain, usage, now, hostname, store, config, revocation,
+        &mut db, chain, sig_ok, usage, now, hostname, store, config, revocation,
     );
-    let out = Engine::new(&program)?.run(db)?;
+    let out = program.evaluate(Arc::new(db))?;
 
     let cid = Val::str(chain_id(chain));
     if out.contains("policyOk", std::slice::from_ref(&cid)) {
         return Ok(Ok(()));
     }
     // Extract a specific reason for parity with the native validator.
-    let index_of = |cert_handle: &Val| -> usize {
-        chain
-            .iter()
-            .position(|c| Val::str(cert_id(c)) == *cert_handle)
-            .unwrap_or(0)
-    };
     // Per-cert temporal reasons.
     for (i, cert) in chain.iter().enumerate() {
         let h = Val::str(cert_id(cert));
@@ -317,7 +381,7 @@ pub fn evaluate_chain(
     }
     if out.contains("gccBad", std::slice::from_ref(&cid)) {
         // Identify which GCC rejected (re-query the namespaced valids).
-        for (i, gcc) in store.gccs_for(&root_fp).iter().enumerate() {
+        for (i, gcc) in gccs.iter().enumerate() {
             let pred = format!("valid__g{i}");
             if !out.contains(&pred, &[cid.clone(), Val::str(usage.as_datalog())]) {
                 return Ok(Err(RejectReason::GccRejected {
@@ -327,7 +391,6 @@ pub fn evaluate_chain(
         }
         return Ok(Err(RejectReason::PolicyRejected));
     }
-    let _ = index_of;
     Ok(Err(RejectReason::PolicyRejected))
 }
 
@@ -335,8 +398,19 @@ pub fn evaluate_chain(
 mod tests {
     use super::*;
     use crate::validate::{ValidationMode, Validator};
+    use nrslb_datalog::Engine;
     use nrslb_rootstore::{Gcc, GccMetadata, RootStore};
-    use nrslb_x509::testutil::{simple_chain, YEAR};
+    use nrslb_x509::builder::{CaKey, CertificateBuilder};
+    use nrslb_x509::extensions::ExtendedKeyUsage;
+    use nrslb_x509::testutil::{simple_chain, SimplePki, T0, YEAR};
+    use nrslb_x509::DistinguishedName;
+
+    fn gcc_rejected(outcome: &crate::Outcome) -> Option<&str> {
+        match outcome.final_reason() {
+            Some(RejectReason::GccRejected { gcc_name }) => Some(gcc_name),
+            _ => None,
+        }
+    }
 
     #[test]
     fn base_policy_parses_and_stratifies() {
@@ -458,5 +532,112 @@ mod tests {
         assert!(text.contains("valid__g0"));
         assert!(text.contains("leaf(C, X)")); // EDB untouched
         assert!(!text.contains("leaf__g0"));
+    }
+
+    #[test]
+    fn evaluate_chain_rejects_forged_link() {
+        let pki = simple_chain("hamforged.example");
+        let mut store = RootStore::new("test");
+        store.add_trusted(pki.root.clone()).unwrap();
+        // Names the intermediate as issuer, signed by another key.
+        let impostor =
+            CaKey::from_seed(pki.intermediate_key.name().clone(), [0x67; 32], 4).unwrap();
+        let forged = CertificateBuilder::new()
+            .subject(DistinguishedName::common_name("hamforged.example"))
+            .dns_names(&["hamforged.example"])
+            .validity_window(T0 - YEAR, T0 + YEAR)
+            .build_signed_by(&impostor)
+            .unwrap();
+        let chain = vec![forged, pki.intermediate, pki.root];
+        let verdict = evaluate_chain(
+            &chain,
+            Usage::Tls,
+            pki.now,
+            None,
+            &store,
+            ValidatorConfig::default(),
+            None,
+        )
+        .unwrap();
+        assert_eq!(verdict, Err(RejectReason::BadSignature { index: 0 }));
+    }
+
+    #[test]
+    fn program_follows_the_stores_gcc_content_not_the_root() {
+        let pki = simple_chain("hamswap.example");
+        let store_with = |name: &str, source: &str| {
+            let mut store = RootStore::new("test");
+            store.add_trusted(pki.root.clone()).unwrap();
+            let gcc = Gcc::parse(name, pki.root.fingerprint(), source, GccMetadata::default());
+            store.attach_gcc(gcc.unwrap()).unwrap();
+            store
+        };
+        let accept = store_with("accept", "valid(Chain, U) :- chain(Chain), queryUsage(U).");
+        let deny = store_with("deny-tls", r#"valid(Chain, "S/MIME") :- chain(Chain)."#);
+        let pool = [pki.intermediate.clone()];
+        let mut ham = Validator::new(accept.clone(), ValidationMode::Hammurabi);
+        for (store, accepted, reason) in [
+            (accept.clone(), true, None),
+            (deny, false, Some("deny-tls")),
+            (accept, true, None),
+        ] {
+            // Same root every time: only the attached GCC changes.
+            ham.set_store(store);
+            let out = ham.validate(&pki.leaf, &pool, Usage::Tls, pki.now).unwrap();
+            assert_eq!(out.accepted(), accepted);
+            assert_eq!(gcc_rejected(&out), reason);
+        }
+    }
+
+    #[test]
+    fn roots_with_identical_gcc_sources_keep_their_own_names() {
+        let a = simple_chain("hamtwin-a.example");
+        let b = simple_chain("hamtwin-b.example");
+        let source = r#"valid(Chain, "TLS") :- leaf(Chain, L), san(L, "hamtwin-a.example")."#;
+        let mut store = RootStore::new("test");
+        for (pki, name) in [(&a, "twin-a"), (&b, "twin-b")] {
+            store.add_trusted(pki.root.clone()).unwrap();
+            let gcc = Gcc::parse(name, pki.root.fingerprint(), source, GccMetadata::default());
+            store.attach_gcc(gcc.unwrap()).unwrap();
+        }
+        let ham = Validator::new(store, ValidationMode::Hammurabi);
+        let check = |pki: &SimplePki, leaf: &Certificate, reason: Option<&str>| {
+            let pool = [pki.intermediate.clone()];
+            let out = ham.validate(leaf, &pool, Usage::Tls, pki.now).unwrap();
+            assert_eq!(out.accepted(), reason.is_none());
+            assert_eq!(gcc_rejected(&out), reason);
+        };
+        check(&a, &a.leaf, None);
+        let other_a = CertificateBuilder::new()
+            .subject(DistinguishedName::common_name("other-a.example"))
+            .dns_names(&["other-a.example"])
+            .validity_window(T0 - YEAR, T0 + YEAR)
+            .extended_key_usage(ExtendedKeyUsage::server_auth())
+            .build_signed_by(&a.intermediate_key)
+            .unwrap();
+        check(&a, &other_a, Some("twin-a"));
+        check(&b, &b.leaf, Some("twin-b"));
+    }
+
+    #[test]
+    fn unstratifiable_merged_program_is_an_error_every_time() {
+        let pki = simple_chain("hamcycle.example");
+        let mut store = RootStore::new("test");
+        store.add_trusted(pki.root.clone()).unwrap();
+        // Fine on its own, but reading the policy's `chainBad` closes a
+        // negative cycle through the `gccBad` wiring.
+        let source = "valid(Chain, U) :- chainBad(Chain), queryUsage(U).";
+        let gcc = Gcc::parse(
+            "cycle",
+            pki.root.fingerprint(),
+            source,
+            GccMetadata::default(),
+        );
+        store.attach_gcc(gcc.unwrap()).unwrap();
+        let ham = Validator::new(store, ValidationMode::Hammurabi);
+        let pool = [pki.intermediate.clone()];
+        for _ in 0..2 {
+            assert!(ham.validate(&pki.leaf, &pool, Usage::Tls, pki.now).is_err());
+        }
     }
 }

@@ -418,18 +418,23 @@ impl Validator {
 
         match self.mode {
             ValidationMode::Hammurabi => {
-                // Signatures are still verified natively (crypto stays
-                // outside the logic program); everything else, including
-                // GCCs, runs in one Datalog evaluation.
+                // Signatures are verified natively through the memo
+                // (crypto stays outside the logic program) and enter it
+                // as `sigOk` facts; everything else, including GCCs,
+                // runs in one Datalog evaluation.
+                let mut sig_ok = Vec::with_capacity(chain.len());
                 for (i, cert) in chain.iter().enumerate() {
                     let issuer = chain.get(i + 1).unwrap_or(cert);
-                    if !self.sig_memo.verify_signed_by(cert, issuer) {
+                    let ok = self.sig_memo.verify_signed_by(cert, issuer);
+                    if !ok {
                         reject(&mut attempt, RejectReason::BadSignature { index: i });
                         return Ok(attempt);
                     }
+                    sig_ok.push(ok);
                 }
-                let verdict = hammurabi::evaluate_chain(
+                let verdict = hammurabi::evaluate_with_signatures(
                     chain,
+                    &sig_ok,
                     usage,
                     now,
                     hostname,
@@ -845,18 +850,8 @@ mod tests {
     #[test]
     fn rejects_forged_signature() {
         let pki = simple_chain("forged.example");
-        // A leaf claiming the intermediate as issuer but signed by an
-        // unrelated key.
-        let mallory = CaKey::generate_for_tests("Mallory", 0x66);
-        let forged_tbs = CertificateBuilder::new()
-            .subject(DistinguishedName::common_name("victim.example"))
-            .dns_names(&["victim.example"])
-            .validity_window(T0 - YEAR, T0 + YEAR)
-            .build_signed_by(&mallory)
-            .unwrap();
-        // Re-parent: craft a cert with issuer = intermediate's name but
-        // mallory's signature. Build it directly via the builder by
-        // making mallory's CaKey carry the intermediate's name.
+        // A leaf naming the intermediate as issuer but signed by an
+        // unrelated key carrying the intermediate's name.
         let fake_issuer_key =
             CaKey::from_seed(pki.intermediate_key.name().clone(), [0x67; 32], 4).unwrap();
         let forged = CertificateBuilder::new()
@@ -865,21 +860,23 @@ mod tests {
             .validity_window(T0 - YEAR, T0 + YEAR)
             .build_signed_by(&fake_issuer_key)
             .unwrap();
-        let _ = forged_tbs;
-        let v = Validator::new(store_for(&pki), ValidationMode::UserAgent);
-        let out = v
-            .validate(
-                &forged,
-                std::slice::from_ref(&pki.intermediate),
-                Usage::Tls,
-                pki.now,
-            )
-            .unwrap();
-        assert!(!out.accepted());
-        assert_eq!(
-            out.final_reason(),
-            Some(&RejectReason::BadSignature { index: 0 })
-        );
+        for mode in [ValidationMode::UserAgent, ValidationMode::Hammurabi] {
+            let v = Validator::new(store_for(&pki), mode.clone());
+            let out = v
+                .validate(
+                    &forged,
+                    std::slice::from_ref(&pki.intermediate),
+                    Usage::Tls,
+                    pki.now,
+                )
+                .unwrap();
+            assert!(!out.accepted(), "{mode:?}");
+            assert_eq!(
+                out.final_reason(),
+                Some(&RejectReason::BadSignature { index: 0 }),
+                "{mode:?}"
+            );
+        }
     }
 
     #[test]
