@@ -10,12 +10,8 @@ cargo fmt --all --check
 echo "==> cargo clippy -D warnings"
 cargo clippy --workspace --all-targets -- -D warnings
 
-echo "==> cargo doc (warnings denied, deprecation allowlisted)"
-# `-A deprecated`: the workspace deliberately documents the deprecated
-# `TrustDaemon::spawn*` / `DaemonConnection` forwards (kept for one
-# release as byte-identical shims over `DaemonBuilder`); their rustdoc
-# must not fail the gate that exists to catch *accidental* warnings.
-RUSTDOCFLAGS="-D warnings -A deprecated" cargo doc --workspace --no-deps --quiet
+echo "==> cargo doc (warnings denied)"
+RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --quiet
 
 echo "==> cargo test"
 cargo test --workspace -q
@@ -34,11 +30,10 @@ echo "==> verdict-cache equivalence + 16-thread stress tests"
 cargo test -p nrslb-core --test verdict_cache -q
 
 echo "==> daemon throughput smoke (release, bounded, asserted)"
-# Bounded e16 run: hard-asserts the sharded cache does not lose to the
-# single-lock ablation at 8 clients, the warm signature-memo path is
-# >= 2x cold, and batching is not slower than single requests. The
-# committed BENCH_e16.json records full-scale numbers; the smoke writes
-# its report to a scratch path so CI never clobbers them.
+# Bounded e16 run: hard-asserts the warm signature-memo path is >= 2x
+# cold and batching is not slower than single requests. The committed
+# BENCH_e16.json records full-scale numbers; the smoke writes its report
+# to a scratch path so CI never clobbers them.
 NRSLB_E16_ASSERT=1 NRSLB_SCALE=12 NRSLB_JSON="$(mktemp)" \
     cargo run --release -q -p nrslb-bench --bin e16_throughput
 
@@ -51,34 +46,14 @@ echo "==> allocation-budget smoke (release, bounded, asserted)"
 NRSLB_E17_ASSERT=1 NRSLB_SCALE=12 NRSLB_JSON="$(mktemp)" \
     cargo run --release -q -p nrslb-bench --bin e17_alloc_throughput
 
-echo "==> reactor connection-scaling smoke (release, bounded, asserted)"
-# Bounded e18 run: the reactor engine must hold 1k concurrent keep-alive
-# connections (every one proving liveness with a correct round trip)
-# and its 8-driver warm throughput must not lose to the PR6
-# thread-per-connection engine measured back-to-back in the same
-# process (single-core floor 0.85, multi-core floor 1.0). Full-scale
-# numbers (10k-connection axis) live in the committed BENCH_e18.json;
-# the smoke writes to a scratch path.
-NRSLB_E18_ASSERT=1 NRSLB_E18_MAX_CONNS=1024 NRSLB_JSON="$(mktemp)" \
-    cargo run --release -q -p nrslb-bench --bin e18_connections
+echo "==> daemon golden transcript + reactor torture and 1k-connection liveness tests"
+cargo test -p nrslb-core --test daemon_transcript --test reactor_torture -q
 
-echo "==> engine parity + reactor torture tests"
-cargo test -p nrslb-core --test daemon_parity --test reactor_torture -q
+echo "==> feed golden transcript + keep-alive torture, liveness and read-sizing tests"
+cargo test -p nrslb-rsf --test feed_transcript --test feed_torture --test frame_alloc -q
 
-echo "==> feed-server parity + keep-alive torture tests"
-cargo test -p nrslb-rsf --test feed_parity --test feed_torture -q
-
-echo "==> feed distribution-node smoke (release, bounded, asserted)"
-# Bounded e21 run: the reactor-backed distribution node must hold 1k
-# keep-alive subscriber connections (each proving liveness with a
-# correct idle re-poll), beat the thread-per-connection feed server on
-# warm re-poll throughput, serve re-polls inline on the event loop
-# (inline counter > 0), and the fused inline cost guard must hold the
-# 8-client warm daemon reactor/thread-pool ratio at >= 0.95 single-core
-# (>= 1.0 multi-core). Full-scale numbers (10k-connection axis) live in
-# the committed BENCH_e21.json; the smoke writes to a scratch path.
-NRSLB_E21_ASSERT=1 NRSLB_E21_MAX_CONNS=1024 NRSLB_JSON="$(mktemp)" \
-    cargo run --release -q -p nrslb-bench --bin e21_feed_node
+echo "==> reactor accept-loop backoff under fd exhaustion"
+cargo test -p nrslb-reactor --test accept_backoff -q
 
 echo "==> differential oracle smoke (fixed seed)"
 # Bounded run: >=1,000 cross-path (chain, GCC, usage) checks PLUS
@@ -126,7 +101,7 @@ echo "==> verdict cost ledger tests"
 # build it. Building it here makes a change to a workspace API it uses
 # fail in CI rather than at benchmark time; its tests include the one
 # showing a single corrupted reference verdict fails a run.
-cargo test --offline -q --manifest-path ledger/Cargo.toml
+cargo test --offline --locked -q --manifest-path ledger/Cargo.toml
 
 echo "==> verdict cost ledger smoke (release, bounded, asserted)"
 # The BENCHMARK.json command, untraced, 10 s per workload: the last
@@ -135,7 +110,7 @@ echo "==> verdict cost ledger smoke (release, bounded, asserted)"
 # floor (400 req/s x 0.3 x 10 s = 1200); the schedule fixes the sample
 # counts, so the smoke does not depend on timing.
 for workload in daemon_hit daemon_miss feed_churn hammurabi; do
-    last=$(cargo run --release --offline --quiet --manifest-path ledger/Cargo.toml -- \
+    last=$(cargo run --release --offline --locked --quiet --manifest-path ledger/Cargo.toml -- \
         --workload "$workload" --seed 1 --seconds 10 --trace 0 | tail -n 1) || true
     case "$last" in
         '{"correct": true'*) echo "    $workload: correct" ;;

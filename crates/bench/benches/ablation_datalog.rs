@@ -1,13 +1,12 @@
 //! Ablation — design choices called out in DESIGN.md §5:
 //!
-//! * semi-naive vs naive Datalog evaluation (recursive workloads);
+//! * semi-naive Datalog evaluation on recursive workloads;
 //! * GCC evaluation cost as the chain's fact base grows;
-//! * compile-once (pre-stratified program, shared fact base) vs the
-//!   naive execution model that re-checks the program and clones the
-//!   fact base on every run.
+//! * compile-once (pre-stratified program, shared fact base) vs
+//!   re-checking the program and cloning the fact base on every run.
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use nrslb_datalog::{CompiledProgram, Database, Engine, EvalMode, Program, Val};
+use nrslb_datalog::{CompiledProgram, Database, Program, Val};
 use std::hint::black_box;
 use std::sync::Arc;
 
@@ -19,20 +18,16 @@ fn chain_db(n: usize) -> Database {
     db
 }
 
-fn bench_semi_naive_vs_naive(c: &mut Criterion) {
+fn bench_semi_naive(c: &mut Criterion) {
     let program =
         Program::parse("reach(X,Y) :- edge(X,Y). reach(X,Z) :- reach(X,Y), edge(Y,Z).").unwrap();
+    let compiled = CompiledProgram::compile(&program).unwrap();
     let mut group = c.benchmark_group("ablation_evaluation_mode");
     group.sample_size(20);
     for n in [30usize, 60] {
         let db = chain_db(n);
-        let semi = Engine::new(&program).unwrap();
         group.bench_function(format!("semi_naive_path_{n}"), |b| {
-            b.iter(|| black_box(semi.run(db.clone()).unwrap()))
-        });
-        let naive = Engine::new(&program).unwrap().with_mode(EvalMode::Naive);
-        group.bench_function(format!("naive_path_{n}"), |b| {
-            b.iter(|| black_box(naive.run(db.clone()).unwrap()))
+            b.iter(|| black_box(compiled.run(db.clone()).unwrap()))
         });
     }
     group.finish();
@@ -64,9 +59,9 @@ fn bench_gcc_shapes(c: &mut Criterion) {
                 vec![Val::str(format!("c{i}")), Val::str("x.example")],
             );
         }
-        let engine = Engine::new(&program).unwrap();
+        let compiled = CompiledProgram::compile(&program).unwrap();
         group.bench_function(format!("listing1_{n_facts}_facts"), |b| {
-            b.iter(|| black_box(engine.run(db.clone()).unwrap()))
+            b.iter(|| black_box(compiled.run(db.clone()).unwrap()))
         });
     }
     group.finish();
@@ -105,8 +100,8 @@ fn bench_compile_once_vs_per_run(c: &mut Criterion) {
     });
     group.bench_function("recheck_and_clone_per_run", |b| {
         b.iter(|| {
-            let engine = Engine::new(&program).unwrap();
-            black_box(engine.run((*base).clone()).unwrap())
+            let compiled = CompiledProgram::compile(&program).unwrap();
+            black_box(compiled.run((*base).clone()).unwrap())
         })
     });
     group.finish();
@@ -114,7 +109,7 @@ fn bench_compile_once_vs_per_run(c: &mut Criterion) {
 
 criterion_group!(
     benches,
-    bench_semi_naive_vs_naive,
+    bench_semi_naive,
     bench_gcc_shapes,
     bench_compile_once_vs_per_run
 );

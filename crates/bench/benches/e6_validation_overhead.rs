@@ -6,15 +6,11 @@
 //! * deployment mode: user-agent (in-process), platform (Unix-socket
 //!   trust daemon), Hammurabi (whole policy as one Datalog program);
 //! * execution model: shared frozen fact base (compile-once /
-//!   evaluate-many) vs the legacy clone-of-the-`Database`-per-GCC path,
-//!   with and without the verdict cache.
+//!   evaluate-many), with and without the verdict cache.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use nrslb_core::daemon::{ephemeral_socket_path, TrustDaemon};
-use nrslb_core::gcc_eval::evaluate_gcc_on_db_cloning;
-use nrslb_core::{
-    chain_facts, chain_id, Usage, ValidationMode, ValidationSession, Validator, VerdictCache,
-};
+use nrslb_core::{Usage, ValidationMode, ValidationSession, Validator, VerdictCache};
 use nrslb_rootstore::{Gcc, GccMetadata, RootStore};
 use nrslb_x509::testutil::simple_chain;
 use std::hint::black_box;
@@ -94,13 +90,11 @@ fn bench_modes(c: &mut Criterion) {
     group.finish();
 }
 
-fn bench_shared_edb_vs_clone(c: &mut Criterion) {
-    // The compile-once / evaluate-many execution model against the
-    // legacy path: N GCCs over one 3-cert chain, sharing the frozen
-    // fact base vs cloning the full Database per GCC. Both variants
-    // include the one-time chain conversion, so the delta is purely the
-    // execution model.
-    let mut group = c.benchmark_group("e6_shared_edb_vs_clone");
+fn bench_shared_edb(c: &mut Criterion) {
+    // The compile-once / evaluate-many execution model: N GCCs over one
+    // 3-cert chain sharing the frozen fact base, including the one-time
+    // chain conversion.
+    let mut group = c.benchmark_group("e6_shared_edb");
     group.sample_size(40);
     let pki = simple_chain("sharededb.example");
     let chain = vec![pki.leaf, pki.intermediate, pki.root];
@@ -126,19 +120,6 @@ valid(Chain, _) :- leaf(Chain, C), notBefore(C, NB), cutoff{i}(T), NB < T."#
                 let session = ValidationSession::new(&chain);
                 let verdicts = session.evaluate_gccs(&gccs, Usage::Tls).unwrap();
                 assert!(verdicts.iter().all(|v| v.accepted));
-                black_box(verdicts)
-            })
-        });
-
-        group.bench_function(format!("clone_per_gcc_{n_gccs}_gccs"), |b| {
-            b.iter(|| {
-                let db = chain_facts(&chain);
-                let handle = chain_id(&chain);
-                let verdicts: Vec<bool> = gccs
-                    .iter()
-                    .map(|gcc| evaluate_gcc_on_db_cloning(gcc, &db, &handle, Usage::Tls).unwrap())
-                    .collect();
-                assert!(verdicts.iter().all(|&v| v));
                 black_box(verdicts)
             })
         });
@@ -179,7 +160,7 @@ criterion_group!(
     benches,
     bench_gcc_count,
     bench_modes,
-    bench_shared_edb_vs_clone,
+    bench_shared_edb,
     bench_baseline_no_gcc_machinery
 );
 criterion_main!(benches);

@@ -4,8 +4,9 @@
 //!
 //! Steps a seeded miniature ecosystem (primary + heterogeneous
 //! subscribers behind lossy channels) while cross-checking every drawn
-//! `(chain, GCC, usage)` sample along independent paths: compiled vs
-//! naive Datalog, cached vs cold sessions, primary vs replica stores.
+//! `(chain, GCC, usage)` sample along independent paths: interned vs
+//! string-reference Datalog, cached vs cold sessions, primary vs
+//! replica stores.
 //! Exits non-zero on any oracle disagreement, printing the failing
 //! seed. Seed override: `NRSLB_SIM_SEED` (decimal or `0x…`).
 

@@ -235,7 +235,7 @@ fn main() {
             "nrslb_datalog_eval_latency_us",
             "nrslb_daemon_requests_total",
             "nrslb_daemon_request_latency_us",
-            "nrslb_daemon_queue_depth",
+            "nrslb_reactor_connections",
             "nrslb_rsf_subscriber_state",
             "nrslb_rsf_sync_attempts_total",
         ],

@@ -7,16 +7,11 @@
 //!
 //! 1. **Scaling**: daemon req/s at 1/2/4/8/16 keep-alive clients,
 //!    cold (first sight of every chain, full Datalog evaluation) vs
-//!    warm (verdict-cache hits).
-//! 2. **Ablation**: the N-way sharded verdict cache vs the single-lock
-//!    layout (`cache_shards = 1`), same workload. On a multi-core host
-//!    the sharded cache must win at 8+ clients; on a single-core runner
-//!    the two coincide within noise and the gate degrades to a
-//!    no-regression check (the `cpus` field in the JSON says which
-//!    machine produced the numbers).
-//! 3. **Pipelining**: `OP_EVALUATE_BATCH` vs one request per chain on
+//!    warm (verdict-cache hits, served inline on the reactor's event
+//!    loops).
+//! 2. **Pipelining**: `OP_EVALUATE_BATCH` vs one request per chain on
 //!    the same connection — how much round-trip amortization buys.
-//! 4. **Signature memo**: repeated-chain validation with a cold vs warm
+//! 3. **Signature memo**: repeated-chain validation with a cold vs warm
 //!    HBS verification memo; warm must be ≥ 2× cold, because WOTS+/XMSS
 //!    verification (thousands of SHA-256 compressions) dominates a
 //!    cold validation.
@@ -27,8 +22,8 @@
 //! the repo from this PR on.
 
 use nrslb_bench::{header, scale, Timer};
-use nrslb_core::daemon::{ephemeral_socket_path, Engine, TrustDaemon};
-use nrslb_core::{Usage, ValidationMode, Validator, DEFAULT_CACHE_SHARDS};
+use nrslb_core::daemon::{ephemeral_socket_path, TrustDaemon};
+use nrslb_core::{Usage, ValidationMode, Validator};
 use nrslb_obs::Registry;
 use nrslb_rootstore::{Gcc, GccMetadata, RootStore};
 use nrslb_x509::testutil::simple_chain;
@@ -48,8 +43,6 @@ struct ScalingRow {
     clients: usize,
     cold_rps: f64,
     warm_rps: f64,
-    single_lock_warm_rps: f64,
-    sharded_vs_single_lock: f64,
 }
 
 #[derive(Serialize)]
@@ -58,7 +51,6 @@ struct Report {
     workers: usize,
     chains: usize,
     gccs_per_root: usize,
-    cache_shards: usize,
     scaling: Vec<ScalingRow>,
     batch_size: usize,
     single_request_rps: f64,
@@ -142,16 +134,11 @@ fn drive_cold(daemon: &TrustDaemon, chains: &[Vec<Certificate>], clients: usize)
     chains.len() as f64 / t.secs()
 }
 
-// Pinned to the thread-pool engine: E16's trajectory (and the E17
-// baseline read from its JSON) was measured on that engine, and the
-// reactor-vs-thread-pool comparison lives in E18.
-fn spawn(store: &RootStore, shards: usize, tag: &str) -> TrustDaemon {
+fn spawn(store: &RootStore, tag: &str) -> TrustDaemon {
     TrustDaemon::builder()
         .socket(ephemeral_socket_path(tag))
         .workers(WORKERS)
-        .cache_shards(shards)
         .registry(Arc::new(Registry::new()))
-        .engine(Engine::ThreadPool)
         .spawn(store.clone())
         .unwrap()
 }
@@ -159,7 +146,7 @@ fn spawn(store: &RootStore, shards: usize, tag: &str) -> TrustDaemon {
 fn main() {
     header(
         "E16",
-        "daemon throughput: scaling, shard ablation, pipelining, sig memo",
+        "daemon throughput: scaling, pipelining, sig memo",
         "§3.1 platform execution (deployability under concurrency)",
     );
     let assert_mode = std::env::var("NRSLB_E16_ASSERT").is_ok_and(|v| v == "1");
@@ -171,45 +158,33 @@ fn main() {
          best of {TRIALS} trials"
     );
 
-    // --- Scaling + shard ablation ---
+    // --- Scaling ---
     let mut scaling = Vec::new();
-    println!(
-        "\n{:>8} {:>12} {:>12} {:>14} {:>8}",
-        "clients", "cold r/s", "warm r/s", "1-shard r/s", "ratio"
-    );
+    println!("\n{:>8} {:>12} {:>12}", "clients", "cold r/s", "warm r/s");
     for clients in CLIENT_COUNTS {
         // Cold: fresh daemon, every request misses. One pass is all the
         // cold data there is, so best-of-trials over fresh daemons.
         let mut cold_rps = 0f64;
         for t in 0..TRIALS {
-            let daemon = spawn(&store, DEFAULT_CACHE_SHARDS, &format!("e16c{clients}-{t}"));
+            let daemon = spawn(&store, &format!("e16c{clients}-{t}"));
             cold_rps = cold_rps.max(drive_cold(&daemon, &chains, clients));
         }
-        // Warm: interleave the sharded and single-lock arms trial by
-        // trial so machine drift hits both equally.
         let mut warm_rps = 0f64;
-        let mut single_rps = 0f64;
-        let sharded = spawn(&store, DEFAULT_CACHE_SHARDS, &format!("e16s{clients}"));
-        let single = spawn(&store, 1, &format!("e16u{clients}"));
-        drive(&sharded, &chains, clients, 1); // fill both caches
-        drive(&single, &chains, clients, 1);
+        let daemon = spawn(&store, &format!("e16w{clients}"));
+        drive(&daemon, &chains, clients, 1); // fill the caches
         for _ in 0..TRIALS {
-            warm_rps = warm_rps.max(drive(&sharded, &chains, clients, WARM_PASSES));
-            single_rps = single_rps.max(drive(&single, &chains, clients, WARM_PASSES));
+            warm_rps = warm_rps.max(drive(&daemon, &chains, clients, WARM_PASSES));
         }
-        let ratio = warm_rps / single_rps;
-        println!("{clients:>8} {cold_rps:>12.0} {warm_rps:>12.0} {single_rps:>14.0} {ratio:>8.2}");
+        println!("{clients:>8} {cold_rps:>12.0} {warm_rps:>12.0}");
         scaling.push(ScalingRow {
             clients,
             cold_rps,
             warm_rps,
-            single_lock_warm_rps: single_rps,
-            sharded_vs_single_lock: ratio,
         });
     }
 
     // --- Pipelining: batch vs single requests, one client, warm ---
-    let daemon = spawn(&store, DEFAULT_CACHE_SHARDS, "e16b");
+    let daemon = spawn(&store, "e16b");
     drive(&daemon, &chains, 1, 1);
     let conn = daemon.keep_alive_client();
     let mut single_request_rps = 0f64;
@@ -270,27 +245,10 @@ fn main() {
     );
 
     // --- Acceptance gates ---
-    let at8 = scaling
-        .iter()
-        .find(|r| r.clients == 8)
-        .expect("8-client row");
-    // On one core the sharded and single-lock arms are the same
-    // serialized machine; only require the sharding not to regress.
-    let shard_floor = if cpus >= 2 { 1.0 } else { 0.85 };
-    let shard_ok = at8.sharded_vs_single_lock >= shard_floor;
     let memo_ok = sig_memo_speedup >= 2.0;
     let batch_ok = batch_vs_single >= 1.0;
-    println!(
-        "gates: sharded/single-lock at 8 clients {:.2} (floor {shard_floor}), \
-         memo {sig_memo_speedup:.2}x (floor 2), batch {batch_vs_single:.2}x (floor 1)",
-        at8.sharded_vs_single_lock
-    );
+    println!("gates: memo {sig_memo_speedup:.2}x (floor 2), batch {batch_vs_single:.2}x (floor 1)");
     if assert_mode {
-        let ratio = at8.sharded_vs_single_lock;
-        assert!(
-            shard_ok,
-            "sharded cache regressed vs single-lock at 8 clients: {ratio:.2}"
-        );
         assert!(
             memo_ok,
             "sig memo warm/cold speedup below 2x: {sig_memo_speedup:.2}"
@@ -307,7 +265,6 @@ fn main() {
         workers: WORKERS,
         chains: n_chains,
         gccs_per_root: GCCS_PER_ROOT,
-        cache_shards: DEFAULT_CACHE_SHARDS,
         scaling,
         batch_size: BATCH_SIZE,
         single_request_rps,

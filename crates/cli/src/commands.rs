@@ -295,25 +295,11 @@ fn convert(opts: &Opts, out: &mut dyn Write) -> Result<(), CliError> {
 fn daemon(opts: &Opts, out: &mut dyn Write) -> Result<(), CliError> {
     let store = load_store(opts.require("store")?)?;
     let socket = opts.require("socket")?;
-    let engine = match opts.get_or("engine", "reactor") {
-        "reactor" => nrslb_core::daemon::Engine::Reactor,
-        "thread-pool" => nrslb_core::daemon::Engine::ThreadPool,
-        other => {
-            return Err(CliError::Usage(format!(
-                "unknown engine {other:?} (expected reactor or thread-pool)"
-            )))
-        }
-    };
     let daemon = nrslb_core::daemon::TrustDaemon::builder()
         .socket(socket)
-        .engine(engine)
         .spawn(store)
         .map_err(|e| CliError::Io(socket.into(), e))?;
-    writeln!(
-        out,
-        "trust daemon listening on {socket} ({engine:?} engine, ctrl-c to stop)"
-    )
-    .ok();
+    writeln!(out, "trust daemon listening on {socket} (ctrl-c to stop)").ok();
     // Serve until killed (the handle's Drop cleans up the socket).
     loop {
         std::thread::sleep(std::time::Duration::from_secs(3600));

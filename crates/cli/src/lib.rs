@@ -14,7 +14,7 @@
 //! nrslb validate --store store.rsf --chain leaf.der,int.der[,...] \
 //!                [--usage TLS|S/MIME] [--host NAME] [--time UNIX] [--mode ua|hammurabi]
 //! nrslb convert --chain leaf.der,int.der,root.der     # chain -> Datalog facts
-//! nrslb daemon --store store.rsf --socket PATH [--engine reactor|thread-pool]
+//! nrslb daemon --store store.rsf --socket PATH
 //! nrslb demo make-pki --dir DIR                       # demo certs + store
 //! nrslb demo incidents                                # the E9 matrix
 //! nrslb demo quorum [--k K --n N]                     # k-of-n feed signing tour

@@ -396,8 +396,8 @@ impl VerdictCache {
     }
 
     /// A cache with an explicit shard count (at least 1). `shards = 1`
-    /// reproduces the old single-lock cache exactly — the benchmark
-    /// ablation and the proptest oracle.
+    /// is a single-lock LRU — the model the equivalence tests check the
+    /// sharded layout against.
     pub fn with_shards(capacity: usize, shards: usize) -> VerdictCache {
         VerdictCache {
             lru: ShardedLru::new(capacity, shards),

@@ -9,28 +9,18 @@
 //! user-agent proceeds with chain construction, "building a new chain if
 //! the daemon responded false".
 //!
-//! ## Engines
+//! ## Engine
 //!
 //! Daemons are spawned through [`DaemonBuilder`] and serve connections
-//! with one of two interchangeable engines ([`Engine`]):
-//!
-//! * [`Engine::Reactor`] (default) — a readiness reactor
-//!   (`crate::reactor`): a few event-loop threads multiplex *all*
-//!   connections over non-blocking sockets, and complete frames are
-//!   dispatched to a worker pool for Datalog evaluation. Concurrency is
-//!   bounded by memory, not worker count — thousands of keep-alive
-//!   user-agents can stay connected while eight workers evaluate.
-//! * [`Engine::ThreadPool`] — the original thread-per-connection pool:
-//!   accepted connections queue on a bounded MPMC channel and a worker
-//!   owns one connection end-to-end until its peer hangs up. Kept as
-//!   the ablation arm; at most `workers` connections are served
-//!   concurrently.
-//!
-//! Both engines speak exactly `crate::proto` — one parser, one
-//! executor, one set of reply encoders — so they are reply-for-reply
-//! identical, and both share one [`InProcessOracle`] (and thus one GCC
-//! [`crate::VerdictCache`]), so a verdict computed for one client is a
-//! cache hit for every other.
+//! on a readiness reactor (`crate::reactor`): a few event-loop threads
+//! multiplex *all* connections over non-blocking sockets, and complete
+//! frames are dispatched to a worker pool for Datalog evaluation (or
+//! answered inline on the loop when every verdict is already cached).
+//! Concurrency is bounded by memory, not worker count — thousands of
+//! keep-alive user-agents can stay connected while eight workers
+//! evaluate. Every connection shares one [`InProcessOracle`] (and thus
+//! one GCC [`crate::VerdictCache`]), so a verdict computed for one
+//! client is a cache hit for every other.
 //!
 //! ## Wire protocol
 //!
@@ -74,13 +64,12 @@
 use crate::cache::ParsedCertCache;
 use crate::gcc_eval::GccVerdict;
 use crate::proto::{
-    self, Parsed, MAX_BATCH, MAX_LEN, OP_EVALUATE, OP_EVALUATE_BATCH, OP_METRICS, STATUS_ERR,
-    STATUS_OK,
+    self, MAX_BATCH, MAX_LEN, OP_EVALUATE, OP_EVALUATE_BATCH, OP_METRICS, STATUS_ERR, STATUS_OK,
 };
 use crate::reactor::{DaemonService, ReactorHandle};
 use crate::validate::{GccOracle, InProcessOracle};
 use crate::CoreError;
-use nrslb_obs::{Counter, Gauge, Histogram, Registry, Span};
+use nrslb_obs::{Counter, Histogram, Registry, Span};
 use nrslb_rootstore::{RootStore, Usage};
 use nrslb_rsf::{Staleness, Subscriber, SyncCounters};
 use nrslb_x509::Certificate;
@@ -89,7 +78,6 @@ use std::os::unix::net::{UnixListener, UnixStream};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
-use std::thread::JoinHandle;
 
 fn read_u8(r: &mut impl Read) -> std::io::Result<u8> {
     let mut b = [0u8; 1];
@@ -125,9 +113,6 @@ pub const DEFAULT_WORKERS: usize = 8;
 #[derive(Clone)]
 pub(crate) struct DaemonInstruments {
     pub(crate) registry: Arc<Registry>,
-    /// Connections accepted but not yet picked up by a worker
-    /// (thread-pool engine only; the reactor never queues accepts).
-    pub(crate) queue_depth: Gauge,
     /// Requests served, by opcode outcome.
     pub(crate) requests: Counter,
     /// Requests answered with an error status.
@@ -141,10 +126,6 @@ pub(crate) struct DaemonInstruments {
 impl DaemonInstruments {
     fn new(registry: Arc<Registry>) -> DaemonInstruments {
         DaemonInstruments {
-            queue_depth: registry.gauge(
-                "nrslb_daemon_queue_depth",
-                "connections accepted but not yet picked up by a worker",
-            ),
             requests: registry.counter("nrslb_daemon_requests_total", "requests served"),
             request_errors: registry.counter(
                 "nrslb_daemon_request_errors_total",
@@ -169,84 +150,13 @@ impl DaemonInstruments {
 
 /// Everything a serving thread needs to execute requests: the shared
 /// oracle, the shared parsed-certificate cache, and the instruments.
-#[derive(Clone)]
 pub(crate) struct ExecCtx {
     pub(crate) oracle: Arc<InProcessOracle>,
     pub(crate) certs: Arc<ParsedCertCache>,
     pub(crate) instruments: DaemonInstruments,
 }
 
-/// An accepted connection waiting in the worker queue, keeping the
-/// queue-depth gauge honest by construction: the increment happens when
-/// the guard is created in the accept loop and the matching decrement
-/// in `Drop` — so the gauge comes back down whether a worker picks the
-/// connection up, the channel send fails, the queue is dropped with
-/// connections still queued at shutdown, or a worker panics before
-/// serving. (The pre-guard code decremented on the happy path only and
-/// leaked an increment on every other exit.)
-struct QueuedConn {
-    stream: Option<UnixStream>,
-    depth: Gauge,
-}
-
-impl QueuedConn {
-    fn new(stream: UnixStream, depth: Gauge) -> QueuedConn {
-        depth.add(1);
-        QueuedConn {
-            stream: Some(stream),
-            depth,
-        }
-    }
-
-    /// Dequeue the connection; the guard drops here, so queue time ends
-    /// when a worker takes the stream, not when serving finishes.
-    fn take(mut self) -> UnixStream {
-        self.stream.take().expect("stream taken once")
-    }
-}
-
-impl Drop for QueuedConn {
-    fn drop(&mut self) {
-        self.depth.sub(1);
-    }
-}
-
-/// Which serving engine a daemon runs (see the module docs).
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub enum Engine {
-    /// Readiness reactor: event loops multiplex every connection,
-    /// workers only evaluate. The default.
-    #[default]
-    Reactor,
-    /// Thread-per-connection worker pool (the ablation arm): at most
-    /// `workers` connections are served concurrently.
-    ThreadPool,
-}
-
-/// Configuration for [`TrustDaemon::spawn_configured`]. Superseded by
-/// [`DaemonBuilder`], which covers the same knobs plus engine choice.
-#[derive(Clone, Copy, Debug)]
-pub struct DaemonConfig {
-    /// Worker threads serving connections (at least 1).
-    pub workers: usize,
-    /// Capacity of the verdict cache shared by all workers.
-    pub cache_capacity: usize,
-    /// Shard count of the verdict cache; `1` reproduces the old
-    /// single-lock cache (the throughput benchmark's ablation arm).
-    pub cache_shards: usize,
-}
-
-impl Default for DaemonConfig {
-    fn default() -> DaemonConfig {
-        DaemonConfig {
-            workers: DEFAULT_WORKERS,
-            cache_capacity: crate::cache::DEFAULT_VERDICT_CACHE_CAPACITY,
-            cache_shards: crate::cache::DEFAULT_CACHE_SHARDS,
-        }
-    }
-}
-
-/// How many event loops the reactor engine runs by default: half the
+/// How many event loops the reactor runs by default: half the
 /// available cores, clamped to `1..=4` — loops only parse and move
 /// bytes, so a few go a long way.
 fn default_event_loops() -> usize {
@@ -256,17 +166,16 @@ fn default_event_loops() -> usize {
     (cores / 2).clamp(1, 4)
 }
 
-/// Builder for a [`TrustDaemon`]: socket path (required), engine,
-/// worker count, event-loop count, verdict-cache geometry, and metric
+/// Builder for a [`TrustDaemon`]: socket path (required), worker
+/// count, event-loop count, verdict-cache capacity, and metric
 /// registry.
 ///
 /// ```no_run
-/// use nrslb_core::daemon::{Engine, TrustDaemon};
+/// use nrslb_core::daemon::TrustDaemon;
 /// # let store = nrslb_rootstore::RootStore::new("platform");
 /// let daemon = TrustDaemon::builder()
 ///     .socket("/run/nrslb/trustd.sock")
 ///     .workers(8)
-///     .engine(Engine::Reactor)
 ///     .spawn(store)
 ///     .unwrap();
 /// ```
@@ -276,9 +185,7 @@ pub struct DaemonBuilder {
     workers: usize,
     event_loops: usize,
     cache_capacity: usize,
-    cache_shards: usize,
     registry: Option<Arc<Registry>>,
-    engine: Engine,
 }
 
 impl Default for DaemonBuilder {
@@ -288,9 +195,7 @@ impl Default for DaemonBuilder {
             workers: DEFAULT_WORKERS,
             event_loops: default_event_loops(),
             cache_capacity: crate::cache::DEFAULT_VERDICT_CACHE_CAPACITY,
-            cache_shards: crate::cache::DEFAULT_CACHE_SHARDS,
             registry: None,
-            engine: Engine::default(),
         }
     }
 }
@@ -304,15 +209,13 @@ impl DaemonBuilder {
     }
 
     /// Evaluation worker threads (at least 1; default
-    /// [`DEFAULT_WORKERS`]). Under [`Engine::ThreadPool`] this also
-    /// caps concurrent connections.
+    /// [`DEFAULT_WORKERS`]).
     pub fn workers(mut self, workers: usize) -> DaemonBuilder {
         self.workers = workers;
         self
     }
 
-    /// Event-loop threads for [`Engine::Reactor`] (at least 1; default
-    /// scales with core count). Ignored by [`Engine::ThreadPool`].
+    /// Event-loop threads (at least 1; default scales with core count).
     pub fn event_loops(mut self, event_loops: usize) -> DaemonBuilder {
         self.event_loops = event_loops;
         self
@@ -324,24 +227,11 @@ impl DaemonBuilder {
         self
     }
 
-    /// Shard count of the shared verdict cache; `1` reproduces the old
-    /// single-lock cache (the throughput benchmark's ablation arm).
-    pub fn cache_shards(mut self, shards: usize) -> DaemonBuilder {
-        self.cache_shards = shards;
-        self
-    }
-
     /// Report into a caller-provided registry — so the daemon's metrics
     /// share one exposition with a co-resident validator's or
     /// subscriber's. Defaults to a fresh private registry.
     pub fn registry(mut self, registry: Arc<Registry>) -> DaemonBuilder {
         self.registry = Some(registry);
-        self
-    }
-
-    /// Which serving engine to run (default [`Engine::Reactor`]).
-    pub fn engine(mut self, engine: Engine) -> DaemonBuilder {
-        self.engine = engine;
         self
     }
 
@@ -364,32 +254,23 @@ impl DaemonBuilder {
         let oracle = Arc::new(InProcessOracle::configured(
             store,
             self.cache_capacity,
-            self.cache_shards,
             Some(&registry),
         ));
         let cert_cache = Arc::new(ParsedCertCache::default());
-        let instruments = DaemonInstruments::new(registry);
+        let instruments = DaemonInstruments::new(Arc::clone(&registry));
         let ctx = ExecCtx {
             oracle: Arc::clone(&oracle),
             certs: Arc::clone(&cert_cache),
             instruments: instruments.clone(),
         };
-        let engine = match self.engine {
-            Engine::Reactor => {
-                let registry = Arc::clone(&ctx.instruments.registry);
-                EngineHandle::Reactor(ReactorHandle::spawn(
-                    listener,
-                    self.event_loops.max(1),
-                    self.workers.max(1),
-                    Arc::new(DaemonService::new(ctx)),
-                    &registry,
-                    Arc::clone(&stop),
-                )?)
-            }
-            Engine::ThreadPool => {
-                spawn_thread_pool(listener, self.workers.max(1), ctx, Arc::clone(&stop))
-            }
-        };
+        let engine = ReactorHandle::spawn(
+            listener,
+            self.event_loops.max(1),
+            self.workers.max(1),
+            Arc::new(DaemonService::new(ctx)),
+            &registry,
+            Arc::clone(&stop),
+        )?;
         Ok(TrustDaemon {
             path,
             stop,
@@ -402,62 +283,6 @@ impl DaemonBuilder {
     }
 }
 
-/// The running engine's threads, joined on shutdown.
-enum EngineHandle {
-    ThreadPool {
-        accept: Option<JoinHandle<()>>,
-        workers: Vec<JoinHandle<()>>,
-    },
-    Reactor(ReactorHandle),
-}
-
-/// Start the thread-pool engine: a bounded accept queue feeding workers
-/// that each own one connection until its peer hangs up.
-fn spawn_thread_pool(
-    listener: UnixListener,
-    workers: usize,
-    ctx: ExecCtx,
-    stop: Arc<AtomicBool>,
-) -> EngineHandle {
-    // Bounded: with all workers busy, at most 2x`workers` accepted
-    // connections queue before the accept loop itself blocks (and the
-    // kernel listen backlog takes over).
-    let (conn_tx, conn_rx) = crossbeam::channel::bounded::<QueuedConn>(workers * 2);
-    let worker_handles = (0..workers)
-        .map(|_| {
-            let conn_rx = conn_rx.clone();
-            let ctx = ctx.clone();
-            let stop = Arc::clone(&stop);
-            std::thread::spawn(move || {
-                // recv fails once the accept thread (the only sender)
-                // is gone and the queue has drained.
-                while let Ok(queued) = conn_rx.recv() {
-                    let _ = serve_connection(queued.take(), &ctx, &stop);
-                }
-            })
-        })
-        .collect();
-    drop(conn_rx);
-    let queue_depth = ctx.instruments.queue_depth.clone();
-    let accept = std::thread::spawn(move || {
-        for conn in listener.incoming() {
-            if stop.load(Ordering::SeqCst) {
-                break;
-            }
-            let Ok(stream) = conn else { continue };
-            let queued = QueuedConn::new(stream, queue_depth.clone());
-            if conn_tx.send(queued).is_err() {
-                break;
-            }
-        }
-        // conn_tx drops here; idle workers wake and exit.
-    });
-    EngineHandle::ThreadPool {
-        accept: Some(accept),
-        workers: worker_handles,
-    }
-}
-
 /// A running trust daemon; dropping the handle shuts it down.
 pub struct TrustDaemon {
     path: PathBuf,
@@ -465,7 +290,7 @@ pub struct TrustDaemon {
     oracle: Arc<InProcessOracle>,
     cert_cache: Arc<ParsedCertCache>,
     instruments: DaemonInstruments,
-    engine: EngineHandle,
+    engine: ReactorHandle,
     /// The RSF subscriber keeping the platform store current, when the
     /// operator wired one up ([`TrustDaemon::attach_feed`]). The daemon
     /// surfaces its sync health ([`TrustDaemon::sync_counters`],
@@ -475,89 +300,15 @@ pub struct TrustDaemon {
 }
 
 impl TrustDaemon {
-    /// Configure a daemon: socket path, engine, workers, cache
-    /// geometry, registry. See [`DaemonBuilder`].
+    /// Configure a daemon: socket path, workers, event loops, cache
+    /// capacity, registry. See [`DaemonBuilder`].
     pub fn builder() -> DaemonBuilder {
         DaemonBuilder::default()
-    }
-
-    /// Bind `socket_path` and serve GCC evaluations for `store` with
-    /// [`DEFAULT_WORKERS`] worker threads.
-    #[deprecated(note = "use TrustDaemon::builder()")]
-    pub fn spawn(store: RootStore, socket_path: impl AsRef<Path>) -> std::io::Result<TrustDaemon> {
-        #[allow(deprecated)]
-        TrustDaemon::spawn_with_workers(store, socket_path, DEFAULT_WORKERS)
-    }
-
-    /// Bind `socket_path` and serve with an explicit worker count
-    /// (at least 1), reporting into a private registry.
-    #[deprecated(note = "use TrustDaemon::builder()")]
-    pub fn spawn_with_workers(
-        store: RootStore,
-        socket_path: impl AsRef<Path>,
-        workers: usize,
-    ) -> std::io::Result<TrustDaemon> {
-        #[allow(deprecated)]
-        TrustDaemon::spawn_observed(store, socket_path, workers, Arc::new(Registry::new()))
-    }
-
-    /// Bind `socket_path` and serve, reporting into a caller-provided
-    /// registry — so the daemon's metrics share one exposition with a
-    /// co-resident validator's or subscriber's.
-    #[deprecated(note = "use TrustDaemon::builder()")]
-    pub fn spawn_observed(
-        store: RootStore,
-        socket_path: impl AsRef<Path>,
-        workers: usize,
-        registry: Arc<Registry>,
-    ) -> std::io::Result<TrustDaemon> {
-        #[allow(deprecated)]
-        TrustDaemon::spawn_configured(
-            store,
-            socket_path,
-            DaemonConfig {
-                workers,
-                ..DaemonConfig::default()
-            },
-            registry,
-        )
-    }
-
-    /// Bind `socket_path` and serve with full control over worker count
-    /// and verdict-cache geometry, reporting into a caller-provided
-    /// registry.
-    ///
-    /// Forwards to [`DaemonBuilder`] pinned to [`Engine::ThreadPool`] —
-    /// the engine these constructors always ran — so existing callers
-    /// keep byte-identical behavior.
-    #[deprecated(note = "use TrustDaemon::builder()")]
-    pub fn spawn_configured(
-        store: RootStore,
-        socket_path: impl AsRef<Path>,
-        config: DaemonConfig,
-        registry: Arc<Registry>,
-    ) -> std::io::Result<TrustDaemon> {
-        TrustDaemon::builder()
-            .socket(socket_path)
-            .workers(config.workers)
-            .cache_capacity(config.cache_capacity)
-            .cache_shards(config.cache_shards)
-            .registry(registry)
-            .engine(Engine::ThreadPool)
-            .spawn(store)
     }
 
     /// The socket path clients should connect to.
     pub fn socket_path(&self) -> &Path {
         &self.path
-    }
-
-    /// Which engine this daemon is serving with.
-    pub fn engine(&self) -> Engine {
-        match self.engine {
-            EngineHandle::ThreadPool { .. } => Engine::ThreadPool,
-            EngineHandle::Reactor(_) => Engine::Reactor,
-        }
     }
 
     /// The shared oracle (exposes the verdict cache for metrics).
@@ -638,13 +389,6 @@ impl TrustDaemon {
     pub fn keep_alive_client(&self) -> DaemonClient {
         DaemonClient::keep_alive(&self.path)
     }
-
-    /// Create a keep-alive client for this daemon.
-    #[deprecated(note = "use TrustDaemon::keep_alive_client()")]
-    #[allow(deprecated)]
-    pub fn connection(&self) -> DaemonConnection {
-        DaemonConnection::new(&self.path)
-    }
 }
 
 impl Drop for TrustDaemon {
@@ -652,88 +396,8 @@ impl Drop for TrustDaemon {
         self.stop.store(true, Ordering::SeqCst);
         // Wake the accept loop.
         let _ = UnixStream::connect(&self.path);
-        match &mut self.engine {
-            EngineHandle::ThreadPool { accept, workers } => {
-                if let Some(t) = accept.take() {
-                    let _ = t.join();
-                }
-                for t in workers.drain(..) {
-                    let _ = t.join();
-                }
-            }
-            EngineHandle::Reactor(handle) => handle.shutdown(),
-        }
+        self.engine.shutdown();
         let _ = std::fs::remove_file(&self.path);
-    }
-}
-
-/// How often an idle worker wakes to re-check the shutdown flag while
-/// waiting for bytes on a keep-alive connection.
-const IDLE_POLL: std::time::Duration = std::time::Duration::from_millis(25);
-
-/// Thread-pool engine: serve one connection end-to-end over the shared
-/// protocol module, until the peer hangs up or the frame stream turns
-/// fatally malformed.
-fn serve_connection(stream: UnixStream, ctx: &ExecCtx, stop: &AtomicBool) -> std::io::Result<()> {
-    let mut stream = stream;
-    let mut rbuf: Vec<u8> = Vec::new();
-    let mut scratch = [0u8; 64 * 1024];
-    // Keep-alive clients may hold the connection open indefinitely
-    // between requests, so reads poll with a short timeout and re-check
-    // the shutdown flag — a quiet connection must never block daemon
-    // shutdown.
-    stream.set_read_timeout(Some(IDLE_POLL))?;
-    loop {
-        // Serve every complete frame already buffered before reading
-        // more (clients may pipeline).
-        loop {
-            match proto::try_parse(&rbuf) {
-                Parsed::Incomplete => {
-                    if rbuf.len() > proto::MAX_BUFFERED {
-                        proto::count_malformed(&ctx.instruments);
-                        stream
-                            .write_all(&proto::encode_error_reply("frame exceeds buffer limit"))?;
-                        return Ok(());
-                    }
-                    break;
-                }
-                Parsed::Frame(Ok(request), consumed) => {
-                    rbuf.drain(..consumed);
-                    let reply =
-                        proto::execute(&request, &*ctx.oracle, &ctx.certs, &ctx.instruments);
-                    stream.write_all(&reply)?;
-                    stream.flush()?;
-                }
-                Parsed::Frame(Err(message), consumed) => {
-                    rbuf.drain(..consumed);
-                    proto::count_malformed(&ctx.instruments);
-                    stream.write_all(&proto::encode_error_reply(&message))?;
-                    stream.flush()?;
-                }
-                Parsed::Fatal(message) => {
-                    proto::count_malformed(&ctx.instruments);
-                    stream.write_all(&proto::encode_error_reply(&message))?;
-                    stream.flush()?;
-                    return Ok(());
-                }
-            }
-        }
-        match stream.read(&mut scratch) {
-            Ok(0) => return Ok(()), // peer hung up
-            Ok(n) => rbuf.extend_from_slice(&scratch[..n]),
-            Err(e)
-                if matches!(
-                    e.kind(),
-                    std::io::ErrorKind::WouldBlock | std::io::ErrorKind::TimedOut
-                ) =>
-            {
-                if stop.load(Ordering::SeqCst) {
-                    return Ok(());
-                }
-            }
-            Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
-            Err(_) => return Ok(()),
-        }
     }
 }
 
@@ -996,50 +660,6 @@ fn read_error_reply(stream: &mut UnixStream) -> std::io::Result<CoreError> {
     Ok(CoreError::Daemon(
         String::from_utf8_lossy(&msg).into_owned(),
     ))
-}
-
-/// Keep-alive client: one Unix socket reused across requests, with
-/// batch submission.
-#[deprecated(note = "use DaemonClient::keep_alive()")]
-#[derive(Debug)]
-pub struct DaemonConnection {
-    inner: DaemonClient,
-}
-
-#[allow(deprecated)]
-impl DaemonConnection {
-    /// Keep-alive client for the daemon at `socket_path`. No connection
-    /// is opened until the first request.
-    pub fn new(socket_path: impl AsRef<Path>) -> DaemonConnection {
-        DaemonConnection {
-            inner: DaemonClient::keep_alive(socket_path),
-        }
-    }
-
-    /// Evaluate one chain over the persistent connection.
-    pub fn evaluate(
-        &self,
-        chain: &[Certificate],
-        usage: Usage,
-    ) -> Result<Vec<GccVerdict>, CoreError> {
-        self.inner.evaluate(chain, usage)
-    }
-
-    /// Evaluate many chains in one request frame; see
-    /// [`DaemonClient::evaluate_batch`].
-    pub fn evaluate_batch(
-        &self,
-        items: &[(&[Certificate], Usage)],
-    ) -> Result<Vec<Vec<GccVerdict>>, CoreError> {
-        self.inner.evaluate_batch(items)
-    }
-}
-
-#[allow(deprecated)]
-impl GccOracle for DaemonConnection {
-    fn evaluate(&self, chain: &[Certificate], usage: Usage) -> Result<Vec<GccVerdict>, CoreError> {
-        self.inner.evaluate(chain, usage)
-    }
 }
 
 /// A unique socket path in the system temp directory (test/example aid).
@@ -1415,7 +1035,6 @@ mod tests {
             text.contains("nrslb_daemon_request_latency_us{quantile=\"0.5\"}"),
             "{text}"
         );
-        assert!(text.contains("nrslb_daemon_queue_depth"), "{text}");
         // Subscriber state: 1 = live after the successful sync.
         assert!(
             text.contains("nrslb_rsf_subscriber_state{subscriber=\"platform\"} 1"),
@@ -1451,19 +1070,12 @@ mod tests {
         let pki = simple_chain("shutdown.example");
         let mut store = RootStore::new("platform");
         store.add_trusted(pki.root.clone()).unwrap();
-        for engine in [Engine::Reactor, Engine::ThreadPool] {
-            let path = ephemeral_socket_path("shutdown");
-            {
-                let daemon = TrustDaemon::builder()
-                    .socket(&path)
-                    .engine(engine)
-                    .spawn(store.clone())
-                    .unwrap();
-                assert_eq!(daemon.engine(), engine);
-                assert!(path.exists());
-            }
-            assert!(!path.exists(), "socket removed on drop ({engine:?})");
+        let path = ephemeral_socket_path("shutdown");
+        {
+            let _daemon = TrustDaemon::builder().socket(&path).spawn(store).unwrap();
+            assert!(path.exists());
         }
+        assert!(!path.exists(), "socket removed on drop");
     }
 
     /// Store fixture with one TLS-gated GCC attached to the chain root.
@@ -1613,57 +1225,5 @@ mod tests {
             conn.evaluate(&chain, Usage::Tls),
             Err(CoreError::Daemon(_))
         ));
-    }
-
-    #[test]
-    fn queue_depth_returns_to_zero_after_connections_close() {
-        let pki = simple_chain("queuedepth.example");
-        let store = tls_gated_store(&pki);
-        let registry = Arc::new(Registry::new());
-        // The queue-depth gauge meters the thread-pool accept queue;
-        // the reactor engine never queues accepts, so this test pins
-        // the engine.
-        let daemon = TrustDaemon::builder()
-            .socket(ephemeral_socket_path("queuedepth"))
-            .workers(2)
-            .registry(Arc::clone(&registry))
-            .engine(Engine::ThreadPool)
-            .spawn(store)
-            .unwrap();
-        let chain = vec![pki.leaf, pki.intermediate, pki.root];
-
-        // Hammer the daemon from several short-lived clients so the
-        // bounded queue actually fills and drains.
-        std::thread::scope(|scope| {
-            for _ in 0..6 {
-                let client = daemon.client();
-                let chain = &chain;
-                scope.spawn(move || {
-                    for _ in 0..5 {
-                        client.evaluate(chain, Usage::Tls).unwrap();
-                    }
-                });
-            }
-        });
-
-        // Every QueuedConn was dropped (worker finished or queue torn
-        // down), so the gauge must read exactly zero — the RAII guard
-        // decrements on every exit path.
-        let text = daemon.render_metrics();
-        assert!(text.contains("nrslb_daemon_queue_depth 0"), "{text}");
-        assert!(text.contains("nrslb_daemon_requests_total 30"), "{text}");
-    }
-
-    #[test]
-    fn deprecated_constructors_still_spawn_thread_pool_daemons() {
-        let pki = simple_chain("deprecated.example");
-        let store = tls_gated_store(&pki);
-        let chain = vec![pki.leaf, pki.intermediate, pki.root];
-        #[allow(deprecated)]
-        let daemon = TrustDaemon::spawn(store, ephemeral_socket_path("deprecated")).unwrap();
-        assert_eq!(daemon.engine(), Engine::ThreadPool);
-        #[allow(deprecated)]
-        let conn = daemon.connection();
-        assert!(conn.evaluate(&chain, Usage::Tls).unwrap()[0].accepted);
     }
 }

@@ -281,7 +281,7 @@ pub fn chain_facts_unoptimized(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use nrslb_datalog::{Engine, Val};
+    use nrslb_datalog::{CompiledProgram, Val};
     use nrslb_x509::testutil::simple_chain;
 
     fn test_chain() -> Vec<Certificate> {
@@ -357,7 +357,10 @@ mod tests {
         let direct = chain_facts(&chain);
         let program = chain_facts_unoptimized(&chain).unwrap();
         // Run the fact-only program to materialize its database.
-        let reparsed = Engine::new(&program).unwrap().run(Database::new()).unwrap();
+        let reparsed = CompiledProgram::compile(&program)
+            .unwrap()
+            .run(Database::new())
+            .unwrap();
         assert_eq!(reparsed.len(), direct.len());
         for pred in direct.predicates() {
             for tuple in direct.tuples(&pred) {
@@ -378,7 +381,7 @@ mod tests {
             "#,
         )
         .unwrap();
-        let out = Engine::new(&program).unwrap().run(db).unwrap();
+        let out = CompiledProgram::compile(&program).unwrap().run(db).unwrap();
         // testutil leaves are issued ~2022-01 (not_before = T0 - YEAR/2),
         // which is before Nov 30 2022, and are not EV.
         assert!(out.contains("valid", &[Val::str(chain_id(&chain)), Val::str("TLS")]));

@@ -3,14 +3,12 @@
 //! Evaluation goes through a [`ValidationSession`]: the chain is
 //! converted to facts once, frozen, and every GCC reads the shared base
 //! through a layered database (derived tuples land in a per-run
-//! overlay). The pre-session path — cloning the full fact base per GCC
-//! — survives as [`evaluate_gcc_on_db_cloning`] for the E6 benchmark's
-//! before/after comparison.
+//! overlay).
 
 use crate::facts::{chain_facts, chain_id};
 use crate::session::ValidationSession;
 use crate::CoreError;
-use nrslb_datalog::{Database, Val};
+use nrslb_datalog::Val;
 use nrslb_rootstore::{Gcc, Usage};
 use nrslb_x509::Certificate;
 
@@ -22,25 +20,6 @@ pub struct GccVerdict {
     pub gcc_name: std::sync::Arc<str>,
     /// Did `valid(Chain, Usage)` hold?
     pub accepted: bool,
-}
-
-/// Evaluate a single GCC against a pre-converted fact database by
-/// **cloning** it — the legacy execution path.
-///
-/// Every call pays a full copy of the fact base. It is kept only as the
-/// baseline for the E6 benchmark's shared-base comparison; use
-/// [`ValidationSession::evaluate_gcc`] everywhere else.
-pub fn evaluate_gcc_on_db_cloning(
-    gcc: &Gcc,
-    db: &Database,
-    chain_handle: &str,
-    usage: Usage,
-) -> Result<bool, CoreError> {
-    let out = gcc.engine().run(db.clone())?;
-    Ok(out.contains(
-        "valid",
-        &[Val::str(chain_handle), Val::str(usage.as_datalog())],
-    ))
 }
 
 /// Convert `chain` and evaluate one GCC.
@@ -87,7 +66,7 @@ pub fn explain_gcc(
     usage: Usage,
 ) -> Result<Option<nrslb_datalog::Derivation>, CoreError> {
     let db = chain_facts(chain);
-    let out = gcc.engine().run(db)?;
+    let out = gcc.compiled().run(db)?;
     let goal = [Val::str(chain_id(chain)), Val::str(usage.as_datalog())];
     Ok(nrslb_datalog::explain::explain(
         gcc.program(),

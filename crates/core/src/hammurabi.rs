@@ -398,7 +398,6 @@ pub(crate) fn evaluate_with_signatures(
 mod tests {
     use super::*;
     use crate::validate::{ValidationMode, Validator};
-    use nrslb_datalog::Engine;
     use nrslb_rootstore::{Gcc, GccMetadata, RootStore};
     use nrslb_x509::builder::{CaKey, CertificateBuilder};
     use nrslb_x509::extensions::ExtendedKeyUsage;
@@ -415,7 +414,7 @@ mod tests {
     #[test]
     fn base_policy_parses_and_stratifies() {
         let program = Program::parse(POLICY).unwrap();
-        Engine::new(&program).unwrap();
+        CompiledProgram::compile(&program).unwrap();
     }
 
     #[test]

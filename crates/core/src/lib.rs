@@ -58,7 +58,7 @@ pub use cache::{
     DEFAULT_CERT_CACHE_CAPACITY, DEFAULT_SIG_MEMO_CAPACITY,
 };
 pub use chain::{ChainBuilder, ChainError};
-pub use daemon::{ConnectionMode, DaemonBuilder, DaemonClient, Engine, TrustDaemon};
+pub use daemon::{ConnectionMode, DaemonBuilder, DaemonClient, TrustDaemon};
 pub use facts::{cert_id, chain_facts, chain_facts_unoptimized, chain_id};
 pub use gcc_eval::{evaluate_gcc, evaluate_gccs, GccVerdict};
 pub use metrics::CoreMetrics;

@@ -1,13 +1,11 @@
-//! The trust-daemon wire protocol, factored out of the serving engines.
+//! The trust-daemon wire protocol, factored out of the serving engine.
 //!
-//! Both daemon engines — the thread-per-worker pool and the readiness
-//! reactor ([`crate::reactor`]) — speak exactly this module: a
-//! *buffer-based* parser ([`try_parse`]) that never consumes bytes
-//! until a complete frame is delimited, a shared executor ([`execute`])
-//! that turns a parsed request into response bytes, and the response
-//! encoders. One implementation means the two engines are
-//! reply-for-reply identical by construction (and the parity test
-//! suite checks it anyway).
+//! The daemon's readiness reactor ([`crate::reactor`]) speaks exactly
+//! this module: a *buffer-based* parser ([`try_parse`]) that never
+//! consumes bytes until a complete frame is delimited, an executor
+//! ([`execute`]) that turns a parsed request into response bytes, and
+//! the response encoders. The checked-in golden transcript
+//! (`tests/daemon_transcript.rs`) pins the bytes they produce.
 //!
 //! ## Malformed frames and keep-alive
 //!
@@ -287,7 +285,8 @@ fn parse_chain(ders: &[Vec<u8>], certs: &ParsedCertCache) -> Result<Vec<Certific
 
 /// Execute one parsed request against the shared oracle and encode its
 /// reply. Counts the request, times it into the latency histogram, and
-/// counts error replies — the same accounting on both engines.
+/// counts error replies — the same accounting on the worker and
+/// inline paths.
 pub(crate) fn execute(
     request: &Request,
     oracle: &dyn GccOracle,
@@ -307,8 +306,8 @@ pub(crate) fn execute(
     }
 }
 
-/// Account for a frame that failed to decode (the engines answer it
-/// with [`encode_error_reply`] themselves).
+/// Account for a frame that failed to decode (the reactor service
+/// answers it with [`encode_error_reply`] itself).
 pub(crate) fn count_malformed(instruments: &crate::daemon::DaemonInstruments) {
     instruments.requests.inc();
     instruments.request_errors.inc();

@@ -1,5 +1,5 @@
 //! The daemon instance of the generic readiness reactor
-//! ([`nrslb_reactor`], `Engine::Reactor`).
+//! ([`nrslb_reactor`]).
 //!
 //! PR 7 built the loop/slab/state-machine engine here; it now lives in
 //! the `nrslb-reactor` crate, generic over a per-connection

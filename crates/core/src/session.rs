@@ -29,7 +29,7 @@ use crate::CoreError;
 use nrslb_crypto::sha256::{Digest, Sha256};
 use nrslb_datalog::eval::DEFAULT_BUDGET;
 use nrslb_datalog::intern::{IVal, Sym};
-use nrslb_datalog::{Database, Engine, EvalMode, EvalScratch, Val};
+use nrslb_datalog::{Database, EvalScratch, Val};
 use nrslb_rootstore::{Gcc, Usage};
 use nrslb_x509::Certificate;
 use std::sync::{Arc, Mutex};
@@ -122,12 +122,8 @@ impl ValidationSession {
     /// scratch overlay (cleared capacity-retained, not reallocated).
     pub fn evaluate_gcc(&self, gcc: &Gcc, usage: Usage) -> Result<bool, CoreError> {
         let mut scratch = self.scratch();
-        gcc.compiled().evaluate_reusing(
-            &self.facts,
-            &mut scratch,
-            EvalMode::SemiNaive,
-            DEFAULT_BUDGET,
-        )?;
+        gcc.compiled()
+            .evaluate_reusing(&self.facts, &mut scratch, DEFAULT_BUDGET)?;
         Ok(self.verdict(&scratch, usage))
     }
 
@@ -143,27 +139,10 @@ impl ValidationSession {
         gcc.compiled().evaluate_reusing_metered(
             &self.facts,
             &mut scratch,
-            EvalMode::SemiNaive,
             DEFAULT_BUDGET,
             metrics,
         )?;
         Ok(self.verdict(&scratch, usage))
-    }
-
-    /// Evaluate one GCC with the reference naive-iteration engine
-    /// instead of the compiled stratified pipeline.
-    ///
-    /// This is a differential-testing hook: naive iteration shares the
-    /// interned storage with [`ValidationSession::evaluate_gcc`] but
-    /// none of the semi-naive delta machinery. It clones the fact base
-    /// per call — strictly a test/oracle path, never the serving path.
-    pub fn evaluate_gcc_naive(&self, gcc: &Gcc, usage: Usage) -> Result<bool, CoreError> {
-        let engine = Engine::from_compiled(Arc::clone(gcc.compiled())).with_mode(EvalMode::Naive);
-        let out = engine.run((*self.facts).clone())?;
-        Ok(out.contains(
-            "valid",
-            &[Val::str(&*self.handle), Val::str(usage.as_datalog())],
-        ))
     }
 
     /// Evaluate one GCC on the **string-path reference evaluator**
@@ -398,7 +377,6 @@ mod tests {
             for usage in Usage::ALL {
                 let interned = session.evaluate_gcc(g, usage).unwrap();
                 assert_eq!(interned, session.evaluate_gcc_string(g, usage).unwrap());
-                assert_eq!(interned, session.evaluate_gcc_naive(g, usage).unwrap());
             }
         }
     }

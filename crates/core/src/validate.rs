@@ -6,7 +6,7 @@
 //! rejects *that candidate* — the validator then continues with the next
 //! candidate chain rather than failing outright.
 
-use crate::cache::{SigMemo, DEFAULT_CACHE_SHARDS, DEFAULT_SIG_MEMO_CAPACITY};
+use crate::cache::{SigMemo, DEFAULT_SIG_MEMO_CAPACITY};
 use crate::chain::ChainBuilder;
 use crate::gcc_eval::GccVerdict;
 use crate::session::{
@@ -612,29 +612,22 @@ impl InProcessOracle {
     /// evaluation records into the `nrslb_datalog_*` families (the
     /// trust daemon builds its shared oracle this way).
     pub fn with_registry(store: RootStore, registry: &nrslb_obs::Registry) -> InProcessOracle {
-        InProcessOracle::configured(
-            store,
-            DEFAULT_VERDICT_CACHE_CAPACITY,
-            DEFAULT_CACHE_SHARDS,
-            Some(registry),
-        )
+        InProcessOracle::configured(store, DEFAULT_VERDICT_CACHE_CAPACITY, Some(registry))
     }
 
-    /// Create an oracle with explicit cache capacity and shard count
-    /// (`shards = 1` is the single-lock ablation the throughput bench
-    /// compares against), optionally reporting into a registry.
+    /// Create an oracle with an explicit verdict-cache capacity,
+    /// optionally reporting into a registry.
     pub fn configured(
         store: RootStore,
         capacity: usize,
-        shards: usize,
         registry: Option<&nrslb_obs::Registry>,
     ) -> InProcessOracle {
         let (cache, eval_metrics) = match registry {
             Some(r) => (
-                VerdictCache::with_shards_and_registry(capacity, shards, r),
+                VerdictCache::with_registry(capacity, r),
                 Some(nrslb_datalog::EvalMetrics::new(r)),
             ),
-            None => (VerdictCache::with_shards(capacity, shards), None),
+            None => (VerdictCache::new(capacity), None),
         };
         InProcessOracle {
             store: RwLock::new(Arc::new(store)),

@@ -7,7 +7,7 @@
 //! every per-loop connection gauge returns to zero after the clients
 //! hang up.
 
-use nrslb_core::daemon::{ephemeral_socket_path, Engine, TrustDaemon};
+use nrslb_core::daemon::{ephemeral_socket_path, TrustDaemon};
 use nrslb_rootstore::{Gcc, GccMetadata, RootStore};
 use nrslb_x509::testutil::simple_chain;
 use rand::prelude::*;
@@ -117,12 +117,10 @@ fn five_hundred_twelve_keep_alive_clients_with_partial_io() {
 
     let daemon = TrustDaemon::builder()
         .socket(ephemeral_socket_path("torture"))
-        .engine(Engine::Reactor)
         .event_loops(2)
         .workers(2)
         .spawn(store)
         .unwrap();
-    assert_eq!(daemon.engine(), Engine::Reactor);
 
     let ders: Vec<Vec<u8>> = [&pki.leaf, &pki.intermediate, &pki.root]
         .iter()
@@ -201,4 +199,94 @@ fn five_hundred_twelve_keep_alive_clients_with_partial_io() {
         );
         std::thread::sleep(Duration::from_millis(25));
     }
+}
+
+/// Raise this process's soft `RLIMIT_NOFILE` to its hard limit (no
+/// libc crate in the offline workspace) and return the soft limit now
+/// in force.
+fn raise_nofile_limit() -> u64 {
+    #[repr(C)]
+    struct Rlimit {
+        cur: u64,
+        max: u64,
+    }
+    const RLIMIT_NOFILE: i32 = 7;
+    extern "C" {
+        fn getrlimit(resource: i32, rlim: *mut Rlimit) -> i32;
+        fn setrlimit(resource: i32, rlim: *const Rlimit) -> i32;
+    }
+    let mut lim = Rlimit { cur: 0, max: 0 };
+    // SAFETY: `lim` is a valid, writable Rlimit; the call fills it.
+    assert_eq!(unsafe { getrlimit(RLIMIT_NOFILE, &mut lim) }, 0);
+    if lim.cur < lim.max {
+        let want = Rlimit {
+            cur: lim.max,
+            max: lim.max,
+        };
+        // SAFETY: `want` is a valid Rlimit; failure leaves limits as-is.
+        if unsafe { setrlimit(RLIMIT_NOFILE, &want) } == 0 {
+            lim.cur = lim.max;
+        }
+    }
+    lim.cur
+}
+
+/// Liveness at 1,024 concurrent keep-alive connections, all driven
+/// from this one thread: every connection is open at once, and each
+/// completes one byte-correct round trip.
+#[test]
+fn thousand_connections_each_complete_a_round_trip_from_one_thread() {
+    const CONNECTIONS: usize = 1024;
+    // Client and daemon ends of every connection live in this process.
+    let limit = raise_nofile_limit();
+    assert!(
+        limit >= (2 * CONNECTIONS + 256) as u64,
+        "RLIMIT_NOFILE {limit} cannot hold {CONNECTIONS} connections"
+    );
+    let pki = simple_chain("liveness.example");
+    let mut store = RootStore::new("liveness");
+    store.add_trusted(pki.root.clone()).unwrap();
+    store
+        .attach_gcc(
+            Gcc::parse(
+                "tls-only",
+                pki.root.fingerprint(),
+                r#"valid(Chain, "TLS") :- leaf(Chain, _)."#,
+                GccMetadata::default(),
+            )
+            .unwrap(),
+        )
+        .unwrap();
+    let daemon = TrustDaemon::builder()
+        .socket(ephemeral_socket_path("liveness"))
+        .event_loops(2)
+        .workers(2)
+        .spawn(store)
+        .unwrap();
+    let ders: Vec<Vec<u8>> = [&pki.leaf, &pki.intermediate, &pki.root]
+        .iter()
+        .map(|c| c.to_der().to_vec())
+        .collect();
+    let request = evaluate_frame(0, &ders);
+    // accepted, one verdict, "tls-only"
+    let mut expected = vec![STATUS_OK, 1, 0, 0, 0, 1, 8, 0, 0, 0];
+    expected.extend_from_slice(b"tls-only");
+
+    let mut streams: Vec<UnixStream> = (0..CONNECTIONS)
+        .map(|_| UnixStream::connect(daemon.socket_path()).unwrap())
+        .collect();
+    for stream in &mut streams {
+        stream
+            .set_read_timeout(Some(Duration::from_secs(30)))
+            .unwrap();
+        stream.write_all(&request).unwrap();
+    }
+    for (i, stream) in streams.iter_mut().enumerate() {
+        let mut reply = vec![0u8; expected.len()];
+        stream.read_exact(&mut reply).unwrap();
+        assert_eq!(reply, expected, "connection {i}: wrong reply");
+    }
+
+    let total = gauge_sum(&daemon.render_metrics(), "nrslb_daemon_requests_total");
+    assert_eq!(total, CONNECTIONS as i64);
 }

@@ -18,7 +18,7 @@
 //! small-arity tuples ([`crate::intern::ITuple`]) live inline.
 
 use crate::ast::{ArithOp, BodyItem, CmpOp, Expr, Literal, Program, Rule, Term};
-use crate::eval::{Database, EvalMode, EvalStats, DEFAULT_BUDGET};
+use crate::eval::{Database, EvalStats, DEFAULT_BUDGET};
 use crate::intern::{intern, FxBuild, ITuple, ITupleSet, IVal, Sym, SymMap};
 use crate::layered::LayeredDatabase;
 use crate::{safety, stratify, DatalogError};
@@ -155,23 +155,29 @@ impl CompiledProgram {
         self.strata.len()
     }
 
-    /// Evaluate to fixpoint over the shared `base`, semi-naive, with the
-    /// default budget. Derived tuples land in the returned overlay.
-    pub fn evaluate(&self, base: Arc<crate::Database>) -> Result<LayeredDatabase, DatalogError> {
-        self.evaluate_with(base, EvalMode::SemiNaive, DEFAULT_BUDGET)
-            .map(|(db, _)| db)
+    /// Evaluate to fixpoint over `db` with the default budget and return
+    /// the extended database: the take-a-database / return-a-database
+    /// contract for one-off programs (tests, GCC explanations). `db` is
+    /// moved in, so no relation is cloned.
+    pub fn run(&self, db: Database) -> Result<Database, DatalogError> {
+        self.evaluate(Arc::new(db)).map(|layered| layered.flatten())
     }
 
-    /// Evaluate with an explicit mode and derived-tuple budget, also
-    /// returning run statistics.
+    /// Evaluate to fixpoint over the shared `base` with the default
+    /// budget. Derived tuples land in the returned overlay.
+    pub fn evaluate(&self, base: Arc<crate::Database>) -> Result<LayeredDatabase, DatalogError> {
+        self.evaluate_with(base, DEFAULT_BUDGET).map(|(db, _)| db)
+    }
+
+    /// Evaluate with an explicit derived-tuple budget, also returning
+    /// run statistics.
     pub fn evaluate_with(
         &self,
         base: Arc<crate::Database>,
-        mode: EvalMode,
         budget: usize,
     ) -> Result<(LayeredDatabase, EvalStats), DatalogError> {
         let mut db = LayeredDatabase::new(base);
-        let stats = self.evaluate_layered(&mut db, mode, budget)?;
+        let stats = self.evaluate_layered(&mut db, budget)?;
         Ok((db, stats))
     }
 
@@ -183,12 +189,11 @@ impl CompiledProgram {
     pub fn evaluate_metered(
         &self,
         base: Arc<crate::Database>,
-        mode: EvalMode,
         budget: usize,
         metrics: &crate::metrics::EvalMetrics,
     ) -> Result<(LayeredDatabase, EvalStats), DatalogError> {
         let _span = metrics.span();
-        match self.evaluate_with(base, mode, budget) {
+        match self.evaluate_with(base, budget) {
             Ok((db, stats)) => {
                 metrics.record(&stats);
                 Ok((db, stats))
@@ -205,11 +210,10 @@ impl CompiledProgram {
     pub fn evaluate_layered(
         &self,
         db: &mut LayeredDatabase,
-        mode: EvalMode,
         budget: usize,
     ) -> Result<EvalStats, DatalogError> {
         let mut scratch = EvalScratch::new();
-        self.evaluate_layered_scratch(db, mode, budget, &mut scratch)
+        self.evaluate_layered_scratch(db, budget, &mut scratch)
     }
 
     /// [`CompiledProgram::evaluate_layered`] reusing a caller-provided
@@ -217,12 +221,11 @@ impl CompiledProgram {
     pub fn evaluate_layered_scratch(
         &self,
         db: &mut LayeredDatabase,
-        mode: EvalMode,
         budget: usize,
         scratch: &mut EvalScratch,
     ) -> Result<EvalStats, DatalogError> {
         let (base, overlay) = db.split_mut();
-        self.run(base, overlay, scratch, mode, budget)
+        self.fixpoint(base, overlay, scratch, budget)
     }
 
     /// Evaluate against `base`, writing derived tuples into the
@@ -237,12 +240,11 @@ impl CompiledProgram {
         &self,
         base: &Database,
         scratch: &mut EvalScratch,
-        mode: EvalMode,
         budget: usize,
     ) -> Result<EvalStats, DatalogError> {
         let mut overlay = std::mem::take(&mut scratch.overlay);
         overlay.clear_retaining();
-        let result = self.run(base, &mut overlay, scratch, mode, budget);
+        let result = self.fixpoint(base, &mut overlay, scratch, budget);
         scratch.overlay = overlay;
         result
     }
@@ -253,12 +255,11 @@ impl CompiledProgram {
         &self,
         base: &Database,
         scratch: &mut EvalScratch,
-        mode: EvalMode,
         budget: usize,
         metrics: &crate::metrics::EvalMetrics,
     ) -> Result<EvalStats, DatalogError> {
         let _span = metrics.span();
-        match self.evaluate_reusing(base, scratch, mode, budget) {
+        match self.evaluate_reusing(base, scratch, budget) {
             Ok(stats) => {
                 metrics.record(&stats);
                 Ok(stats)
@@ -271,12 +272,11 @@ impl CompiledProgram {
     }
 
     /// The full fixpoint loop over (base, overlay) with scratch state.
-    fn run(
+    fn fixpoint(
         &self,
         base: &Database,
         overlay: &mut Database,
         scratch: &mut EvalScratch,
-        mode: EvalMode,
         budget: usize,
     ) -> Result<EvalStats, DatalogError> {
         // A failed previous run may have left residue.
@@ -303,65 +303,17 @@ impl CompiledProgram {
             if rule_indices.is_empty() {
                 continue;
             }
-            match mode {
-                EvalMode::SemiNaive => self.run_stratum_semi_naive(
-                    rule_indices,
-                    &self.derived_syms[stratum_idx],
-                    base,
-                    overlay,
-                    scratch,
-                    budget,
-                    &mut stats,
-                )?,
-                EvalMode::Naive => self.run_stratum_naive(
-                    rule_indices,
-                    base,
-                    overlay,
-                    scratch,
-                    budget,
-                    &mut stats,
-                )?,
-            }
+            self.run_stratum_semi_naive(
+                rule_indices,
+                &self.derived_syms[stratum_idx],
+                base,
+                overlay,
+                scratch,
+                budget,
+                &mut stats,
+            )?;
         }
         Ok(stats)
-    }
-
-    fn run_stratum_naive(
-        &self,
-        rules: &[usize],
-        base: &Database,
-        overlay: &mut Database,
-        scratch: &mut EvalScratch,
-        budget: usize,
-        stats: &mut EvalStats,
-    ) -> Result<(), DatalogError> {
-        loop {
-            stats.rounds += 1;
-            for &ri in rules {
-                stats.rule_applications += 1;
-                evaluate_crule(
-                    &self.crules[ri],
-                    base,
-                    overlay,
-                    None,
-                    &mut scratch.env,
-                    &mut scratch.pending,
-                )?;
-            }
-            let mut changed = false;
-            for (pred, tuple) in scratch.pending.drain(..) {
-                if !base.icontains(pred, tuple.as_slice()) && overlay.add_ifact(pred, tuple) {
-                    stats.derived += 1;
-                    changed = true;
-                    if stats.derived > budget {
-                        return Err(DatalogError::BudgetExceeded { budget });
-                    }
-                }
-            }
-            if !changed {
-                return Ok(());
-            }
-        }
     }
 
     #[allow(clippy::too_many_arguments)]
@@ -823,7 +775,7 @@ mod tests {
     }
 
     #[test]
-    fn naive_mode_and_budget_respected() {
+    fn budget_respected() {
         let mut db = Database::new();
         for i in 0..40 {
             for j in 0..40 {
@@ -831,9 +783,7 @@ mod tests {
             }
         }
         let program = compiled("reach(X,Y) :- edge(X,Y). reach(X,Z) :- reach(X,Y), edge(Y,Z).");
-        let err = program
-            .evaluate_with(Arc::new(db), EvalMode::SemiNaive, 100)
-            .unwrap_err();
+        let err = program.evaluate_with(Arc::new(db), 100).unwrap_err();
         assert!(matches!(err, DatalogError::BudgetExceeded { budget: 100 }));
     }
 
@@ -851,12 +801,7 @@ mod tests {
         let base = Arc::new(db);
         let program = compiled("reach(X,Y) :- edge(X,Y). reach(X,Z) :- reach(X,Y), edge(Y,Z).");
         let (out, stats) = program
-            .evaluate_metered(
-                Arc::clone(&base),
-                EvalMode::SemiNaive,
-                DEFAULT_BUDGET,
-                &metrics,
-            )
+            .evaluate_metered(Arc::clone(&base), DEFAULT_BUDGET, &metrics)
             .unwrap();
         assert!(out.contains("reach", &[Val::str("a"), Val::str("c")]));
         assert_eq!(metrics.evaluations.get(), 1);
@@ -869,9 +814,7 @@ mod tests {
         assert_eq!(metrics.latency_us.count(), 1, "span records the run");
 
         // A budget abort counts as an error and still times the run.
-        let err = program
-            .evaluate_metered(base, EvalMode::SemiNaive, 1, &metrics)
-            .unwrap_err();
+        let err = program.evaluate_metered(base, 1, &metrics).unwrap_err();
         assert!(matches!(err, DatalogError::BudgetExceeded { .. }));
         assert_eq!(
             metrics.evaluations.get(),
@@ -906,10 +849,10 @@ mod tests {
         db.add_fact("edge", vec![Val::str("a"), Val::str("b")]);
         let mut layered = LayeredDatabase::new(Arc::new(db));
         compiled("reach(X,Y) :- edge(X,Y).")
-            .evaluate_layered(&mut layered, EvalMode::SemiNaive, DEFAULT_BUDGET)
+            .evaluate_layered(&mut layered, DEFAULT_BUDGET)
             .unwrap();
         compiled("seen(X) :- reach(X, _).")
-            .evaluate_layered(&mut layered, EvalMode::SemiNaive, DEFAULT_BUDGET)
+            .evaluate_layered(&mut layered, DEFAULT_BUDGET)
             .unwrap();
         assert!(layered.contains("seen", &[Val::str("a")]));
     }
@@ -925,7 +868,7 @@ mod tests {
         let mut scratch = EvalScratch::new();
         for _ in 0..3 {
             let stats = reach
-                .evaluate_reusing(&db, &mut scratch, EvalMode::SemiNaive, DEFAULT_BUDGET)
+                .evaluate_reusing(&db, &mut scratch, DEFAULT_BUDGET)
                 .unwrap();
             assert_eq!(stats.derived, 6);
             assert!(scratch
@@ -933,7 +876,7 @@ mod tests {
                 .contains("reach", &[Val::str("a"), Val::str("d")]));
             // A different program reuses the same buffers; no residue
             // from the previous run leaks into its results.
-            inv.evaluate_reusing(&db, &mut scratch, EvalMode::SemiNaive, DEFAULT_BUDGET)
+            inv.evaluate_reusing(&db, &mut scratch, DEFAULT_BUDGET)
                 .unwrap();
             assert!(scratch
                 .overlay()
@@ -945,7 +888,7 @@ mod tests {
     }
 
     #[test]
-    fn scratch_matches_fresh_evaluation_in_both_modes() {
+    fn scratch_matches_fresh_evaluation() {
         let mut db = Database::new();
         for i in 0..10 {
             db.add_fact("edge", vec![Val::int(i), Val::int(i + 1)]);
@@ -956,20 +899,18 @@ mod tests {
         );
         let base = Arc::new(db);
         let mut scratch = EvalScratch::new();
-        for mode in [EvalMode::SemiNaive, EvalMode::Naive] {
-            let fresh = program
-                .evaluate_with(Arc::clone(&base), mode, DEFAULT_BUDGET)
-                .unwrap()
-                .0;
+        // Twice: the second run reuses the first run's buffers.
+        for _ in 0..2 {
+            let fresh = program.evaluate(Arc::clone(&base)).unwrap();
             program
-                .evaluate_reusing(&base, &mut scratch, mode, DEFAULT_BUDGET)
+                .evaluate_reusing(&base, &mut scratch, DEFAULT_BUDGET)
                 .unwrap();
             for pred in ["reach", "source"] {
                 let mut a = fresh.overlay().tuples(pred);
                 let mut b = scratch.overlay().tuples(pred);
                 a.sort();
                 b.sort();
-                assert_eq!(a, b, "{pred} ({mode:?})");
+                assert_eq!(a, b, "{pred}");
             }
         }
     }

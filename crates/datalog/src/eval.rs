@@ -1,4 +1,4 @@
-//! Fact storage and the classic single-database [`Engine`] entry point.
+//! Fact storage, evaluation statistics and the derived-tuple budget.
 //!
 //! Storage is **interned**: relations are keyed by [`Sym`] and hold
 //! [`ITuple`]s, so joins and dedup compare `u32` ids instead of hashing
@@ -7,18 +7,13 @@
 //! probes use the non-inserting lookup, so asking about a never-seen
 //! string cannot grow the symbol table.
 //!
-//! The evaluator itself lives in [`crate::compile`]: an [`Engine`] is a
-//! thin wrapper pairing an `Arc<CompiledProgram>` with an evaluation
-//! mode and budget. `Engine::run` keeps the original take-a-database /
-//! return-a-database contract (used by the ablation benchmarks and the
-//! Hammurabi-style per-chain programs), while shared hot paths evaluate
-//! the compiled program directly over a layered view.
+//! The evaluator itself lives in [`crate::compile`]:
+//! [`crate::CompiledProgram::run`] keeps the take-a-database /
+//! return-a-database contract, while shared hot paths evaluate the
+//! compiled program directly over a layered view.
 
 use crate::ast::Val;
-use crate::compile::CompiledProgram;
 use crate::intern::{ITuple, ITupleSet, IVal, IValMap, Sym, SymMap};
-use crate::DatalogError;
-use crate::Program;
 use std::sync::Arc;
 
 /// A ground tuple at the AST boundary.
@@ -356,17 +351,6 @@ impl Database {
     }
 }
 
-/// Evaluation strategy.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Default)]
-pub enum EvalMode {
-    /// Semi-naive: per-round deltas drive recursive rules.
-    #[default]
-    SemiNaive,
-    /// Naive: every round re-derives from full relations. Kept for the
-    /// ablation benchmark.
-    Naive,
-}
-
 /// Counters from one evaluation run.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct EvalStats {
@@ -382,80 +366,17 @@ pub struct EvalStats {
 /// stratification-level termination guarantees.
 pub const DEFAULT_BUDGET: usize = 1_000_000;
 
-/// A checked, ready-to-run Datalog program.
-///
-/// Construction performs the safety and stratification checks (via
-/// [`CompiledProgram::compile`]); [`Engine::run`] evaluates against a
-/// fact database and returns the extended database. The compiled
-/// program is shared — cloning an `Engine`, or building several from
-/// one `Arc<CompiledProgram>`, does not re-run the checks.
-#[derive(Clone)]
-pub struct Engine {
-    compiled: Arc<CompiledProgram>,
-    mode: EvalMode,
-    budget: usize,
-}
-
-impl Engine {
-    /// Check `program` and build an engine.
-    pub fn new(program: &Program) -> Result<Engine, DatalogError> {
-        Ok(Engine::from_compiled(Arc::new(CompiledProgram::compile(
-            program,
-        )?)))
-    }
-
-    /// Wrap an already-compiled program (no checks re-run).
-    pub fn from_compiled(compiled: Arc<CompiledProgram>) -> Engine {
-        Engine {
-            compiled,
-            mode: EvalMode::SemiNaive,
-            budget: DEFAULT_BUDGET,
-        }
-    }
-
-    /// The underlying compiled program.
-    pub fn compiled(&self) -> &Arc<CompiledProgram> {
-        &self.compiled
-    }
-
-    /// Select naive or semi-naive evaluation.
-    pub fn with_mode(mut self, mode: EvalMode) -> Engine {
-        self.mode = mode;
-        self
-    }
-
-    /// Override the derived-tuple budget.
-    pub fn with_budget(mut self, budget: usize) -> Engine {
-        self.budget = budget;
-        self
-    }
-
-    /// Evaluate to fixpoint over `db`, returning the extended database.
-    pub fn run(&self, db: Database) -> Result<Database, DatalogError> {
-        self.run_with_stats(db).map(|(db, _)| db)
-    }
-
-    /// Like [`Engine::run`] but also returns evaluation statistics.
-    ///
-    /// `db` is taken by value and handed back extended; because this
-    /// wrapper holds the only reference, no relation is cloned.
-    pub fn run_with_stats(&self, db: Database) -> Result<(Database, EvalStats), DatalogError> {
-        let (layered, stats) = self
-            .compiled
-            .evaluate_with(Arc::new(db), self.mode, self.budget)?;
-        Ok((layered.flatten(), stats))
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{CompiledProgram, DatalogError, Program};
+
+    fn compile(program: &Program) -> CompiledProgram {
+        CompiledProgram::compile(program).unwrap()
+    }
 
     fn run(src: &str, db: Database) -> Database {
-        Engine::new(&Program::parse(src).unwrap())
-            .unwrap()
-            .run(db)
-            .unwrap()
+        compile(&Program::parse(src).unwrap()).run(db).unwrap()
     }
 
     #[test]
@@ -568,62 +489,6 @@ mod tests {
     }
 
     #[test]
-    fn naive_and_semi_naive_agree() {
-        let src = "reach(X,Y) :- edge(X,Y). reach(X,Z) :- reach(X,Y), edge(Y,Z).
-                   isolated(X) :- node(X), \\+reach(X, X).";
-        let mut db = Database::new();
-        let nodes = ["a", "b", "c", "d", "e"];
-        for n in nodes {
-            db.add_fact("node", vec![Val::str(n)]);
-        }
-        for (a, b) in [("a", "b"), ("b", "a"), ("c", "d"), ("d", "e")] {
-            db.add_fact("edge", vec![Val::str(a), Val::str(b)]);
-        }
-        let program = Program::parse(src).unwrap();
-        let semi = Engine::new(&program).unwrap().run(db.clone()).unwrap();
-        let naive = Engine::new(&program)
-            .unwrap()
-            .with_mode(EvalMode::Naive)
-            .run(db)
-            .unwrap();
-        for pred in ["reach", "isolated"] {
-            let mut a: Vec<_> = semi.tuples(pred);
-            let mut b: Vec<_> = naive.tuples(pred);
-            a.sort();
-            b.sort();
-            assert_eq!(a, b, "{pred}");
-        }
-    }
-
-    #[test]
-    fn semi_naive_does_less_work_on_chains() {
-        // A long path: naive evaluation re-derives everything each round.
-        let mut db = Database::new();
-        for i in 0..60 {
-            db.add_fact("edge", vec![Val::int(i), Val::int(i + 1)]);
-        }
-        let program =
-            Program::parse("reach(X,Y) :- edge(X,Y). reach(X,Z) :- reach(X,Y), edge(Y,Z).")
-                .unwrap();
-        let (_, semi) = Engine::new(&program)
-            .unwrap()
-            .run_with_stats(db.clone())
-            .unwrap();
-        let (_, naive) = Engine::new(&program)
-            .unwrap()
-            .with_mode(EvalMode::Naive)
-            .run_with_stats(db)
-            .unwrap();
-        assert!(semi.derived == naive.derived);
-        assert!(
-            semi.rule_applications < naive.rule_applications * 2,
-            "semi={} naive={}",
-            semi.rule_applications,
-            naive.rule_applications
-        );
-    }
-
-    #[test]
     fn budget_exceeded() {
         let mut db = Database::new();
         for i in 0..40 {
@@ -634,10 +499,8 @@ mod tests {
         let program =
             Program::parse("reach(X,Y) :- edge(X,Y). reach(X,Z) :- reach(X,Y), edge(Y,Z).")
                 .unwrap();
-        let err = Engine::new(&program)
-            .unwrap()
-            .with_budget(100)
-            .run(db)
+        let err = compile(&program)
+            .evaluate_with(Arc::new(db), 100)
             .unwrap_err();
         assert!(matches!(err, DatalogError::BudgetExceeded { budget: 100 }));
     }
@@ -647,7 +510,7 @@ mod tests {
         let mut db = Database::new();
         db.add_fact("n", vec![Val::int(i64::MAX)]);
         let program = Program::parse("big(Y) :- n(X), Y = X + 1.").unwrap();
-        let err = Engine::new(&program).unwrap().run(db).unwrap_err();
+        let err = compile(&program).run(db).unwrap_err();
         assert!(matches!(err, DatalogError::Eval { .. }));
     }
 
@@ -656,7 +519,7 @@ mod tests {
         let mut db = Database::new();
         db.add_fact("v", vec![Val::str("notanint")]);
         let program = Program::parse("p(X) :- v(X), X < 5.").unwrap();
-        let err = Engine::new(&program).unwrap().run(db).unwrap_err();
+        let err = compile(&program).run(db).unwrap_err();
         assert!(matches!(err, DatalogError::Eval { .. }));
     }
 
@@ -666,7 +529,7 @@ mod tests {
         db.add_fact("u", vec![Val::str("TLS")]);
         db.add_fact("u", vec![Val::str("S/MIME")]);
         let program = Program::parse(r#"tls(X) :- u(X), X == "TLS"."#).unwrap();
-        let out = Engine::new(&program).unwrap().run(db).unwrap();
+        let out = compile(&program).run(db).unwrap();
         assert_eq!(out.tuples("tls").len(), 1);
     }
 
@@ -677,7 +540,7 @@ mod tests {
         db.add_fact("pair", vec![Val::int(3), Val::int(5)]);
         // Y must equal X * 2.
         let program = Program::parse("double(X, Y) :- pair(X, Y), Y = X * 2.").unwrap();
-        let out = Engine::new(&program).unwrap().run(db).unwrap();
+        let out = compile(&program).run(db).unwrap();
         assert_eq!(out.tuples("double").len(), 1);
         assert!(out.contains("double", &[Val::int(2), Val::int(4)]));
     }
@@ -751,18 +614,5 @@ mod tests {
         let db = run("p(\"x\").", Database::new());
         assert!(!db.contains("p", &[Val::str("eval-contains-unseen-sym")]));
         assert!(!db.contains("eval-unseen-pred-sym", &[Val::int(1)]));
-    }
-
-    #[test]
-    fn engines_share_one_compiled_program() {
-        let program = Program::parse("p(X) :- q(X).").unwrap();
-        let compiled = Arc::new(CompiledProgram::compile(&program).unwrap());
-        let a = Engine::from_compiled(Arc::clone(&compiled));
-        let b = Engine::from_compiled(Arc::clone(&compiled)).with_mode(EvalMode::Naive);
-        let mut db = Database::new();
-        db.add_fact("q", vec![Val::int(7)]);
-        assert!(a.run(db.clone()).unwrap().contains("p", &[Val::int(7)]));
-        assert!(b.run(db).unwrap().contains("p", &[Val::int(7)]));
-        assert_eq!(Arc::strong_count(&compiled), 3);
     }
 }

@@ -115,15 +115,15 @@ impl fmt::Display for Derivation {
 ///
 /// Returns `None` when the tuple is not in the database at all. The
 /// `db` must be a fixpoint of the program (the output of
-/// [`crate::Engine::run`]).
+/// [`crate::CompiledProgram::run`]).
 ///
 /// ```
-/// use nrslb_datalog::{explain::explain, Database, Engine, Program, Val};
+/// use nrslb_datalog::{explain::explain, CompiledProgram, Database, Program, Val};
 ///
 /// let program = Program::parse("p(X) :- q(X), \\+r(X).").unwrap();
 /// let mut db = Database::new();
 /// db.add_fact("q", vec![Val::int(1)]);
-/// let out = Engine::new(&program).unwrap().run(db).unwrap();
+/// let out = CompiledProgram::compile(&program).unwrap().run(db).unwrap();
 /// let tree = explain(&program, &out, "p", &[Val::int(1)]).unwrap().unwrap();
 /// assert!(tree.render().contains("not r(1) [absent]"));
 /// ```
@@ -410,7 +410,7 @@ fn eval_expr(expr: &crate::ast::Expr, env: &Env) -> Result<Val, DatalogError> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{Engine, Program};
+    use crate::{CompiledProgram, Program};
 
     fn fixpoint(src: &str, facts: &[(&str, Vec<Val>)]) -> (Program, Database) {
         let program = Program::parse(src).unwrap();
@@ -418,7 +418,7 @@ mod tests {
         for (pred, tuple) in facts {
             db.add_fact(*pred, tuple.clone());
         }
-        let out = Engine::new(&program).unwrap().run(db).unwrap();
+        let out = CompiledProgram::compile(&program).unwrap().run(db).unwrap();
         (program, out)
     }
 

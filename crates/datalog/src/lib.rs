@@ -22,10 +22,9 @@
 //! * [`layered`] — [`LayeredDatabase`]: a frozen shared fact base plus a
 //!   per-run overlay of derived tuples, so evaluating many GCCs against
 //!   one chain never clones the chain's facts;
-//! * [`eval`] — fact storage and the classic [`Engine`] wrapper doing
-//!   bottom-up evaluation with semi-naive iteration (and a naive mode
-//!   kept for the ablation benchmark), plus a derived-tuple budget as
-//!   defense in depth;
+//! * [`eval`] — fact storage, evaluation statistics, and the
+//!   derived-tuple budget kept as defense in depth (the semi-naive
+//!   evaluator itself is [`CompiledProgram`]'s);
 //! * [`mod@incremental`] — delta maintenance: counting / DRed
 //!   propagation of EDB insertions and deletions through a compiled
 //!   program ([`CompiledProgram::apply_delta`]), keeping derived state
@@ -38,10 +37,10 @@
 //!   [`intern::ITuple`]) everything above executes over: the semi-naive
 //!   join compares `u32` ids, never `Arc<str>`s;
 //! * [`mod@reference`] — the independent string-path evaluator kept as the
-//!   differential oracle and ablation arm for the interned core.
+//!   differential oracle for the interned core.
 //!
 //! ```
-//! use nrslb_datalog::{Database, Engine, Program, Val};
+//! use nrslb_datalog::{CompiledProgram, Database, Program, Val};
 //!
 //! let program = Program::parse(
 //!     "reachable(X, Y) :- edge(X, Y).
@@ -51,7 +50,7 @@
 //! let mut db = Database::new();
 //! db.add_fact("edge", vec![Val::str("a"), Val::str("b")]);
 //! db.add_fact("edge", vec![Val::str("b"), Val::str("c")]);
-//! let result = Engine::new(&program).unwrap().run(db).unwrap();
+//! let result = CompiledProgram::compile(&program).unwrap().run(db).unwrap();
 //! assert!(result.contains("reachable", &[Val::str("a"), Val::str("c")]));
 //! ```
 
@@ -73,7 +72,7 @@ pub mod stratify;
 
 pub use ast::{Program, Rule, Term, Val};
 pub use compile::{CompiledProgram, EvalScratch};
-pub use eval::{Database, Engine, EvalMode, EvalStats};
+pub use eval::{Database, EvalStats};
 pub use explain::{explain, Derivation};
 pub use incremental::{delta_fact, DeltaOutcome, IncrementalState, MaintenancePolicy};
 pub use intern::{intern, ITuple, IVal, Sym};

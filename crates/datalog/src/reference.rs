@@ -9,8 +9,8 @@
 //!
 //! * the `interned-vs-string` proptest and the sim differential oracle
 //!   compare the two paths tuple-for-tuple over generated programs;
-//! * the `e17_alloc_throughput` bench uses it as the ablation arm to
-//!   quantify what interning buys.
+//! * the `e17_alloc_throughput` bench uses it as the baseline that
+//!   quantifies what interning buys.
 //!
 //! It applies the same safety/stratification checks and the same
 //! derived-tuple budget and arithmetic error semantics, so error cases
@@ -312,7 +312,7 @@ fn compare(l: &Val, op: CmpOp, r: &Val) -> Result<bool, DatalogError> {
 mod tests {
     use super::*;
     use crate::compile::CompiledProgram;
-    use crate::eval::{EvalMode, DEFAULT_BUDGET};
+    use crate::eval::DEFAULT_BUDGET;
 
     fn program(src: &str) -> Program {
         Program::parse(src).unwrap()
@@ -361,7 +361,7 @@ mod tests {
         let err = evaluate_strings(&p, &db, DEFAULT_BUDGET).unwrap_err();
         let interned_err = CompiledProgram::compile(&p)
             .unwrap()
-            .evaluate_with(Arc::new(db), EvalMode::SemiNaive, DEFAULT_BUDGET)
+            .evaluate_with(Arc::new(db), DEFAULT_BUDGET)
             .unwrap_err();
         assert_eq!(err, interned_err, "identical error payloads on both paths");
     }

@@ -1,8 +1,9 @@
 //! Property tests over the evaluation engine: randomly generated safe,
-//! stratified programs must (a) agree between naive and semi-naive
-//! modes and (b) terminate within the budget.
+//! stratified programs must (a) agree with the string-path reference
+//! evaluator and (b) terminate within the budget.
 
-use nrslb_datalog::{Database, Engine, EvalMode, Program, Val};
+use nrslb_datalog::eval::DEFAULT_BUDGET;
+use nrslb_datalog::{evaluate_strings, CompiledProgram, Database, Program, Val};
 use proptest::prelude::*;
 
 /// A random non-recursive-with-negation program over a small EDB
@@ -57,7 +58,7 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(128))]
 
     #[test]
-    fn naive_equals_semi_naive_on_random_programs(
+    fn compiled_equals_string_reference_on_random_programs(
         program in random_program(),
         facts in edb(),
     ) {
@@ -66,21 +67,20 @@ proptest! {
         // with unary negation projection conflicts) — skip those; the
         // property targets programs the checker admits.
         let Ok(parsed) = Program::parse(&src) else { return Ok(()) };
-        let Ok(semi) = Engine::new(&parsed) else { return Ok(()) };
-        let naive = Engine::new(&parsed).unwrap().with_mode(EvalMode::Naive);
+        let Ok(compiled) = CompiledProgram::compile(&parsed) else { return Ok(()) };
 
         let mut db = Database::new();
         for (rel, a, b) in &facts {
             db.add_fact(format!("e{rel}"), vec![Val::int(*a), Val::int(*b)]);
         }
-        let a = semi.run(db.clone());
-        let b = naive.run(db);
-        match (a, b) {
-            (Ok(da), Ok(dbn)) => {
-                prop_assert_eq!(da.len(), dbn.len());
+        let reference = evaluate_strings(&parsed, &db, DEFAULT_BUDGET);
+        match (compiled.run(db), reference) {
+            (Ok(da), Ok(strings)) => {
+                let total: usize = strings.predicates().iter().map(|p| strings.tuples(p).len()).sum();
+                prop_assert_eq!(da.len(), total);
                 for pred in da.predicates() {
                     for tuple in da.tuples(&pred) {
-                        prop_assert!(dbn.contains(&pred, &tuple), "{}{:?}", pred, tuple);
+                        prop_assert!(strings.contains(&pred, &tuple), "{}{:?}", pred, tuple);
                     }
                 }
             }
@@ -88,7 +88,7 @@ proptest! {
                 std::mem::discriminant(&ea),
                 std::mem::discriminant(&eb)
             ),
-            (a, b) => prop_assert!(false, "modes disagree: {a:?} vs {b:?}"),
+            (a, b) => prop_assert!(false, "paths disagree: {a:?} vs {b:?}"),
         }
     }
 
@@ -103,7 +103,7 @@ proptest! {
         db.add_fact("e0", vec![Val::int(0)]); // arity 1 amid arity 2
         db.add_fact("e0", vec![Val::int(0), Val::int(1), Val::int(2)]);
         let program = Program::parse("p(X, Y) :- e0(X, Y).").unwrap();
-        let out = Engine::new(&program).unwrap().run(db).unwrap();
+        let out = CompiledProgram::compile(&program).unwrap().run(db).unwrap();
         for t in out.tuples("p") {
             prop_assert_eq!(t.len(), 2);
         }

@@ -5,7 +5,7 @@
 //! runs the same comparison over real chains and GCCs).
 
 use nrslb_datalog::eval::DEFAULT_BUDGET;
-use nrslb_datalog::{evaluate_strings, CompiledProgram, Database, EvalMode, Program, Val};
+use nrslb_datalog::{evaluate_strings, CompiledProgram, Database, Program, Val};
 use proptest::prelude::*;
 use std::sync::Arc;
 
@@ -80,29 +80,26 @@ proptest! {
         }
 
         let reference = evaluate_strings(&parsed, &db, DEFAULT_BUDGET);
-        let base = Arc::new(db);
-        for mode in [EvalMode::SemiNaive, EvalMode::Naive] {
-            let interned = compiled.evaluate_with(Arc::clone(&base), mode, DEFAULT_BUDGET);
-            match (&reference, &interned) {
-                (Ok(strings), Ok((layered, _))) => {
-                    // Same predicates, same tuples, both directions.
-                    let mut ipreds = layered.predicates();
-                    ipreds.retain(|p| !layered.tuples(p).is_empty());
-                    prop_assert_eq!(&strings.predicates(), &ipreds);
-                    for pred in strings.predicates() {
-                        let mut a = strings.tuples(&pred);
-                        let mut b = layered.tuples(&pred);
-                        a.sort();
-                        b.sort();
-                        prop_assert_eq!(a, b, "{} ({:?})", pred, mode);
-                    }
+        let interned = compiled.evaluate_with(Arc::new(db), DEFAULT_BUDGET);
+        match (&reference, &interned) {
+            (Ok(strings), Ok((layered, _))) => {
+                // Same predicates, same tuples, both directions.
+                let mut ipreds = layered.predicates();
+                ipreds.retain(|p| !layered.tuples(p).is_empty());
+                prop_assert_eq!(&strings.predicates(), &ipreds);
+                for pred in strings.predicates() {
+                    let mut a = strings.tuples(&pred);
+                    let mut b = layered.tuples(&pred);
+                    a.sort();
+                    b.sort();
+                    prop_assert_eq!(a, b, "{}", pred);
                 }
-                (Err(ea), Err(eb)) => prop_assert_eq!(
-                    std::mem::discriminant(ea),
-                    std::mem::discriminant(eb)
-                ),
-                (a, b) => prop_assert!(false, "paths disagree: {a:?} vs {b:?}"),
             }
+            (Err(ea), Err(eb)) => prop_assert_eq!(
+                std::mem::discriminant(ea),
+                std::mem::discriminant(eb)
+            ),
+            (a, b) => prop_assert!(false, "paths disagree: {a:?} vs {b:?}"),
         }
     }
 }

@@ -5,7 +5,7 @@
 //! of the facts between the two layers.
 
 use nrslb_datalog::eval::DEFAULT_BUDGET;
-use nrslb_datalog::{CompiledProgram, Database, Engine, EvalMode, LayeredDatabase, Program, Val};
+use nrslb_datalog::{CompiledProgram, Database, LayeredDatabase, Program, Val};
 use proptest::prelude::*;
 use std::sync::Arc;
 
@@ -82,45 +82,41 @@ proptest! {
         let Ok(compiled) = CompiledProgram::compile(&parsed) else { return Ok(()) };
         let split = split.min(facts.len());
 
-        for mode in [EvalMode::SemiNaive, EvalMode::Naive] {
-            // Legacy contract: the engine consumes an owned flat database
-            // (internally Arc'd, but callers observe clone-and-own).
-            let mut flat = Database::new();
-            for (rel, a, b) in &facts {
-                flat.add_fact(format!("e{rel}"), vec![Val::int(*a), Val::int(*b)]);
-            }
-            let engine = Engine::new(&parsed).unwrap().with_mode(mode);
-            let legacy = engine.run(flat);
+        // Flat contract: run consumes an owned database.
+        let mut flat = Database::new();
+        for (rel, a, b) in &facts {
+            flat.add_fact(format!("e{rel}"), vec![Val::int(*a), Val::int(*b)]);
+        }
+        let legacy = compiled.run(flat);
 
-            // Layered path: facts split arbitrarily between the shared
-            // base and the per-run overlay.
-            let mut base = Database::new();
-            for (rel, a, b) in &facts[..split] {
-                base.add_fact(format!("e{rel}"), vec![Val::int(*a), Val::int(*b)]);
-            }
-            let base = Arc::new(base);
-            let mut layered = LayeredDatabase::new(Arc::clone(&base));
-            for (rel, a, b) in &facts[split..] {
-                layered.add_fact(format!("e{rel}"), vec![Val::int(*a), Val::int(*b)]);
-            }
-            let result = compiled.evaluate_layered(&mut layered, mode, DEFAULT_BUDGET);
+        // Layered path: facts split arbitrarily between the shared
+        // base and the per-run overlay.
+        let mut base = Database::new();
+        for (rel, a, b) in &facts[..split] {
+            base.add_fact(format!("e{rel}"), vec![Val::int(*a), Val::int(*b)]);
+        }
+        let base = Arc::new(base);
+        let mut layered = LayeredDatabase::new(Arc::clone(&base));
+        for (rel, a, b) in &facts[split..] {
+            layered.add_fact(format!("e{rel}"), vec![Val::int(*a), Val::int(*b)]);
+        }
+        let result = compiled.evaluate_layered(&mut layered, DEFAULT_BUDGET);
 
-            match (legacy, result) {
-                (Ok(flat_out), Ok(_stats)) => {
-                    prop_assert_eq!(
-                        canonical(&flat_out),
-                        canonical(&layered.clone().flatten()),
-                        "mode {:?}, split {}", mode, split
-                    );
-                    // The shared base was never touched.
-                    prop_assert_eq!(base.len(), split_len(&facts[..split]));
-                }
-                (Err(ea), Err(eb)) => prop_assert_eq!(
-                    std::mem::discriminant(&ea),
-                    std::mem::discriminant(&eb)
-                ),
-                (a, b) => prop_assert!(false, "paths disagree: {a:?} vs {b:?}"),
+        match (legacy, result) {
+            (Ok(flat_out), Ok(_stats)) => {
+                prop_assert_eq!(
+                    canonical(&flat_out),
+                    canonical(&layered.clone().flatten()),
+                    "split {}", split
+                );
+                // The shared base was never touched.
+                prop_assert_eq!(base.len(), split_len(&facts[..split]));
             }
+            (Err(ea), Err(eb)) => prop_assert_eq!(
+                std::mem::discriminant(&ea),
+                std::mem::discriminant(&eb)
+            ),
+            (a, b) => prop_assert!(false, "paths disagree: {a:?} vs {b:?}"),
         }
     }
 }

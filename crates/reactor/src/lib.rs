@@ -106,6 +106,10 @@ use std::time::Duration;
 /// latency if a notify is ever lost.
 const WAIT_TIMEOUT: Duration = Duration::from_millis(500);
 
+/// How long the accept thread pauses after a failed `accept` (fd
+/// exhaustion) before trying again.
+const ACCEPT_BACKOFF: Duration = Duration::from_millis(5);
+
 /// Most inline requests one poller wake may serve per connection
 /// before the loop falls back to the worker pool; bounds how long a
 /// pipelining peer can monopolize its event loop.
@@ -346,7 +350,13 @@ impl ReactorHandle {
                 if accept_stop.load(Ordering::SeqCst) {
                     break;
                 }
-                let Ok(stream) = conn else { continue };
+                let Ok(stream) = conn else {
+                    // With no fds left, accept fails at once for as long
+                    // as a connection waits in the backlog; pausing keeps
+                    // the loop from spinning a core until one frees up.
+                    std::thread::sleep(ACCEPT_BACKOFF);
+                    continue;
+                };
                 accept_loops[next].inject(stream);
                 next = (next + 1) % accept_loops.len();
             }

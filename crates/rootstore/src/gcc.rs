@@ -2,7 +2,7 @@
 //! root certificates by SHA-256 fingerprint (paper §3).
 
 use nrslb_crypto::sha256::{sha256, Digest};
-use nrslb_datalog::{CompiledProgram, Engine, Program};
+use nrslb_datalog::{CompiledProgram, Program};
 use std::fmt;
 use std::sync::Arc;
 
@@ -37,7 +37,6 @@ struct GccInner {
     target: Digest,
     source: String,
     compiled: Arc<CompiledProgram>,
-    engine: Engine,
     source_hash: Digest,
     metadata: GccMetadata,
 }
@@ -162,7 +161,6 @@ impl Gcc {
                 target,
                 source_hash: sha256(source.as_bytes()),
                 source: source.to_string(),
-                engine: Engine::from_compiled(Arc::clone(&compiled)),
                 compiled,
                 metadata,
             }),
@@ -206,12 +204,6 @@ impl Gcc {
         &self.inner.compiled
     }
 
-    /// The checked, ready-to-run engine (a thin wrapper over
-    /// [`Gcc::compiled`]).
-    pub fn engine(&self) -> &Engine {
-        &self.inner.engine
-    }
-
     /// Provenance metadata.
     pub fn metadata(&self) -> &GccMetadata {
         &self.inner.metadata
@@ -229,7 +221,6 @@ impl Gcc {
                 target,
                 source: self.inner.source.clone(),
                 compiled: Arc::clone(&self.inner.compiled),
-                engine: self.inner.engine.clone(),
                 source_hash: self.inner.source_hash,
                 metadata: self.inner.metadata.clone(),
             }),
@@ -338,6 +329,5 @@ mod tests {
         let a = Gcc::parse("a", digest(5), LISTING_1, GccMetadata::default()).unwrap();
         let c = a.retarget(digest(6));
         assert!(Arc::ptr_eq(a.compiled(), c.compiled()));
-        assert!(Arc::ptr_eq(a.engine().compiled(), c.engine().compiled()));
     }
 }

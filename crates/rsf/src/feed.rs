@@ -171,16 +171,6 @@ impl RootEntry {
         }
         Ok(())
     }
-
-    /// Deprecated alias for [`RootEntry::install`].
-    #[deprecated(
-        since = "0.2.0",
-        note = "ingestion goes through `sync::Subscriber::ingest`; for direct \
-                application use `RootEntry::install`"
-    )]
-    pub fn apply_to(&self, store: &mut RootStore) -> Result<(), RsfError> {
-        self.install(store)
-    }
 }
 
 /// A complete capture of a root store's state at a point in time.
@@ -230,16 +220,6 @@ impl Snapshot {
             entry.install(&mut store)?;
         }
         Ok(store)
-    }
-
-    /// Deprecated alias for [`Snapshot::materialize`].
-    #[deprecated(
-        since = "0.2.0",
-        note = "ingestion goes through `sync::Subscriber::ingest`; for direct \
-                materialization use `Snapshot::materialize`"
-    )]
-    pub fn to_store(&self, store_name: &str) -> Result<RootStore, RsfError> {
-        self.materialize(store_name)
     }
 
     /// Canonical encoding (what gets signed).
@@ -402,16 +382,6 @@ impl Delta {
             entry.install(store)?;
         }
         Ok(())
-    }
-
-    /// Deprecated alias for [`Delta::apply`].
-    #[deprecated(
-        since = "0.2.0",
-        note = "ingestion goes through `sync::Subscriber::ingest`; for direct \
-                application use `Delta::apply`"
-    )]
-    pub fn apply_to(&self, store: &mut RootStore) -> Result<(), RsfError> {
-        self.apply(store)
     }
 
     /// Canonical encoding (what gets signed).

@@ -45,8 +45,6 @@ pub use feed::{Delta, GccEntry, RootEntry, Snapshot, SystematicConstraints};
 pub use merge::{merge_stores, Conflict, MergeReport};
 pub use quorum::{QuorumAuthority, QuorumConfig, QuorumSignature, QuorumTrust, RotationEvent};
 pub use signing::{CoordinatorKey, Endorsement, FeedKey, FeedTrust, SignedMessage};
-#[allow(deprecated)]
-pub use socket::FeedSocketServer;
 pub use socket::{FeedDistributionNode, RemoteSubscriber};
 pub use sync::{
     FeedUpdate, ResilientReport, Staleness, Subscriber, SubscriberBuilder, SyncCounters, SyncEvent,

@@ -1,5 +1,5 @@
-//! Feed distribution over a real transport: Unix-domain-socket feed
-//! servers and a matching remote subscriber.
+//! Feed distribution over a real transport: a Unix-domain-socket feed
+//! server and a matching remote subscriber.
 //!
 //! The sans-IO [`crate::transport`] layer stays the source of truth;
 //! this module is the thin framing that carries its artifacts across a
@@ -16,18 +16,12 @@
 //!             u32 n_rotations (u32 len, bytes rotation-event)*
 //! ```
 //!
-//! Two servers speak it, answering every request through one shared
-//! response builder (`build_response_body`) so their replies are
-//! byte-identical by construction:
-//!
-//! * [`FeedDistributionNode`] — the real thing: a reactor-backed node
-//!   (the same [`nrslb_reactor`] engine the trust daemon runs on) that
-//!   holds thousands of keep-alive subscriber connections on a few
-//!   event loops, serving idle re-polls inline on the loop and
-//!   everything else on a small worker pool.
-//! * [`FeedSocketServer`] — the deprecated thread-per-connection
-//!   ablation arm, kept so E21 can measure exactly what the reactor
-//!   buys at the distribution tier.
+//! [`FeedDistributionNode`] serves it: a reactor-backed node (the same
+//! [`nrslb_reactor`] engine the trust daemon runs on) that holds
+//! thousands of keep-alive subscriber connections on a few event
+//! loops, serving idle re-polls inline on the loop and everything else
+//! on a small worker pool. A malformed request (bad magic, a body that
+//! is not exactly two `u64`s) is answered by closing the connection.
 //!
 //! Everything security-relevant (signatures, endorsements, sequence
 //! continuity, checkpoint consistency) is verified by the subscriber —
@@ -44,12 +38,11 @@ use nrslb_crypto::merkle::ConsistencyProof;
 use nrslb_crypto::sha256::Digest;
 use nrslb_obs::Registry;
 use nrslb_reactor::{Frame, ReactorHandle, Service};
-use std::io::{ErrorKind, Read as _, Write as _};
+use std::io::{Read, Write as _};
 use std::os::unix::net::{UnixListener, UnixStream};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
-use std::thread::JoinHandle;
 use std::time::Duration;
 
 /// Hard cap on any frame body, either direction.
@@ -58,10 +51,10 @@ const MAX_FRAME_BYTES: u32 = 256 * 1024 * 1024;
 /// A request body is exactly two `u64`s.
 const FEED_REQUEST_BODY_LEN: usize = 16;
 
-/// Read timeout on the thread server's accepted streams: blocked serve
-/// reads become stop-flag checks at this cadence, which is what lets
-/// [`FeedSocketServer`]'s `Drop` join every connection thread.
-const SERVE_POLL: Duration = Duration::from_millis(25);
+/// Bytes reserved up front for a reply body. Larger bodies grow as
+/// their bytes arrive, so the peer's length field alone never sizes an
+/// allocation.
+const BODY_RESERVE: usize = 64 * 1024;
 
 fn io_err(e: std::io::Error) -> RsfError {
     let _ = e;
@@ -78,55 +71,13 @@ fn read_frame(stream: &mut UnixStream, magic: &[u8; 4]) -> Result<Vec<u8>, RsfEr
     if len > MAX_FRAME_BYTES {
         return Err(RsfError::Wire("frame too large"));
     }
-    let mut body = vec![0u8; len as usize];
-    stream.read_exact(&mut body).map_err(io_err)?;
-    Ok(body)
-}
-
-/// [`read_frame`] for the thread server's serve loops: the stream
-/// carries a short read timeout ([`SERVE_POLL`]) and every timeout tick
-/// re-checks `stop`, so a connection blocked on a silent peer still
-/// unwinds promptly at shutdown.
-fn read_exact_stop(
-    stream: &mut UnixStream,
-    buf: &mut [u8],
-    stop: &AtomicBool,
-) -> Result<(), RsfError> {
-    let mut filled = 0;
-    while filled < buf.len() {
-        if stop.load(Ordering::SeqCst) {
-            return Err(RsfError::Wire("server shutting down"));
-        }
-        match stream.read(&mut buf[filled..]) {
-            Ok(0) => return Err(RsfError::Wire("socket i/o failure")),
-            Ok(n) => filled += n,
-            Err(e)
-                if matches!(
-                    e.kind(),
-                    ErrorKind::WouldBlock | ErrorKind::TimedOut | ErrorKind::Interrupted
-                ) => {}
-            Err(e) => return Err(io_err(e)),
-        }
+    let mut body = Vec::with_capacity((len as usize).min(BODY_RESERVE));
+    Read::take(&mut *stream, u64::from(len))
+        .read_to_end(&mut body)
+        .map_err(io_err)?;
+    if body.len() != len as usize {
+        return Err(RsfError::Wire("truncated frame"));
     }
-    Ok(())
-}
-
-fn read_frame_stop(
-    stream: &mut UnixStream,
-    magic: &[u8; 4],
-    stop: &AtomicBool,
-) -> Result<Vec<u8>, RsfError> {
-    let mut head = [0u8; 8];
-    read_exact_stop(stream, &mut head, stop)?;
-    if &head[..4] != magic {
-        return Err(RsfError::Wire("bad frame magic"));
-    }
-    let len = u32::from_le_bytes(head[4..].try_into().unwrap());
-    if len > MAX_FRAME_BYTES {
-        return Err(RsfError::Wire("frame too large"));
-    }
-    let mut body = vec![0u8; len as usize];
-    read_exact_stop(stream, &mut body, stop)?;
     Ok(body)
 }
 
@@ -190,10 +141,7 @@ fn decode_request(body: &[u8]) -> Result<FeedRequest, RsfError> {
 
 /// Build the RSFR response body for a subscriber at
 /// `request.have_sequence` holding a pinned checkpoint of
-/// `request.have_checkpoint` leaves. Both servers — the deprecated
-/// thread-per-connection ablation arm and the reactor-backed
-/// distribution node — answer every request through this one function,
-/// so their replies are byte-identical by construction.
+/// `request.have_checkpoint` leaves.
 fn build_response_body(
     publisher: &Mutex<FeedPublisher>,
     request: FeedRequest,
@@ -245,117 +193,6 @@ fn build_response_with(
     Ok(w.finish())
 }
 
-/// A feed server bound to a Unix socket, one thread per connection,
-/// sharing a publisher that the operator keeps updating through the
-/// mutex. Each connection serves a single request and hangs up.
-#[deprecated(
-    note = "thread-per-connection ablation arm for E21; use FeedDistributionNode, \
-            which holds thousands of keep-alive subscribers on a few event loops"
-)]
-pub struct FeedSocketServer {
-    path: PathBuf,
-    publisher: Arc<Mutex<FeedPublisher>>,
-    stop: Arc<AtomicBool>,
-    accept: Option<JoinHandle<()>>,
-    serves: Arc<Mutex<Vec<JoinHandle<()>>>>,
-}
-
-#[allow(deprecated)]
-impl FeedSocketServer {
-    /// Bind and serve.
-    pub fn spawn(
-        publisher: Arc<Mutex<FeedPublisher>>,
-        socket_path: impl AsRef<Path>,
-    ) -> std::io::Result<FeedSocketServer> {
-        let path = socket_path.as_ref().to_path_buf();
-        let _ = std::fs::remove_file(&path);
-        let listener = UnixListener::bind(&path)?;
-        let stop = Arc::new(AtomicBool::new(false));
-        let serves = Arc::new(Mutex::new(Vec::<JoinHandle<()>>::new()));
-        let stop2 = stop.clone();
-        let publisher2 = publisher.clone();
-        let serves2 = serves.clone();
-        let accept = std::thread::spawn(move || {
-            for conn in listener.incoming() {
-                if stop2.load(Ordering::SeqCst) {
-                    break;
-                }
-                let Ok(mut stream) = conn else { continue };
-                // The short read timeout turns blocked serve reads
-                // into stop-flag checks, so Drop can join this thread.
-                let _ = stream.set_read_timeout(Some(SERVE_POLL));
-                let publisher = publisher2.clone();
-                let stop = stop2.clone();
-                let handle = std::thread::spawn(move || {
-                    let _ = serve_once(&mut stream, &publisher, &stop);
-                });
-                let mut serves = serves2.lock().expect("serve-thread registry");
-                // Reap finished threads as we go so a long-lived server
-                // does not accumulate handles.
-                let mut live = Vec::with_capacity(serves.len() + 1);
-                for h in serves.drain(..) {
-                    if h.is_finished() {
-                        let _ = h.join();
-                    } else {
-                        live.push(h);
-                    }
-                }
-                live.push(handle);
-                *serves = live;
-            }
-        });
-        Ok(FeedSocketServer {
-            path,
-            publisher,
-            stop,
-            accept: Some(accept),
-            serves,
-        })
-    }
-
-    /// The socket path.
-    pub fn socket_path(&self) -> &Path {
-        &self.path
-    }
-
-    /// The shared publisher handle (for publishing updates).
-    pub fn publisher(&self) -> Arc<Mutex<FeedPublisher>> {
-        self.publisher.clone()
-    }
-}
-
-#[allow(deprecated)]
-impl Drop for FeedSocketServer {
-    fn drop(&mut self) {
-        self.stop.store(true, Ordering::SeqCst);
-        // Wake the accept loop so it observes the stop flag.
-        let _ = UnixStream::connect(&self.path);
-        if let Some(t) = self.accept.take() {
-            let _ = t.join();
-        }
-        // Serve threads observe the flag within one read-timeout tick.
-        let serves: Vec<JoinHandle<()>> = {
-            let mut serves = self.serves.lock().expect("serve-thread registry");
-            serves.drain(..).collect()
-        };
-        for t in serves {
-            let _ = t.join();
-        }
-        let _ = std::fs::remove_file(&self.path);
-    }
-}
-
-fn serve_once(
-    stream: &mut UnixStream,
-    publisher: &Mutex<FeedPublisher>,
-    stop: &AtomicBool,
-) -> Result<(), RsfError> {
-    let body = read_frame_stop(stream, b"RSFQ", stop)?;
-    let request = decode_request(&body)?;
-    let reply = build_response_body(publisher, request)?;
-    write_frame(stream, b"RSFR", &reply)
-}
-
 /// The feed wire protocol as a reactor [`Service`]: framing and
 /// request decoding for [`Frame`], execution through the shared
 /// [`build_response_body`], and an inline guard that keeps idle
@@ -372,16 +209,14 @@ impl Service for FeedService {
             return Frame::Incomplete;
         }
         if &buf[..4] != b"RSFQ" {
-            // The thread server closes without answering on a bad
-            // frame; an empty Fatal reply is the engine's spelling of
-            // the same silent hang-up.
+            // A bad frame is answered by hanging up; an empty Fatal
+            // reply is the engine's spelling of a silent close.
             return Frame::Fatal { reply: Vec::new() };
         }
         let len = u32::from_le_bytes(buf[4..8].try_into().unwrap()) as usize;
-        // A valid request body is exactly two u64s. The thread server
-        // reads any cap-respecting length and then fails the decode;
-        // rejecting at the header is the same observable silent close,
-        // without buffering up to the frame cap first.
+        // A valid request body is exactly two u64s, so any other
+        // length is rejected at the header, without buffering up to
+        // the frame cap first.
         if len != FEED_REQUEST_BODY_LEN {
             return Frame::Fatal { reply: Vec::new() };
         }
@@ -411,10 +246,10 @@ impl Service for FeedService {
     fn execute(&self, request: &FeedRequest) -> Vec<u8> {
         match build_response_body(&self.publisher, *request) {
             Ok(body) => rsfr_frame(&body),
-            // The thread server closes without answering when the
-            // publisher fails; the engine has no close-from-execute
-            // channel, so the node stays silent and the subscriber's
-            // attempt timeout classifies the connection as damaged.
+            // The engine has no close-from-execute channel, so a
+            // publisher failure leaves the node silent and the
+            // subscriber's attempt timeout classifies the connection
+            // as damaged.
             Err(_) => Vec::new(),
         }
     }
@@ -450,9 +285,8 @@ fn rsfr_frame(body: &[u8]) -> Vec<u8> {
     frame
 }
 
-/// A reactor-backed feed distribution node: the event-driven
-/// replacement for [`FeedSocketServer`], built on the same
-/// [`nrslb_reactor`] engine as the trust daemon's `Engine::Reactor`.
+/// A reactor-backed feed distribution node, built on the same
+/// [`nrslb_reactor`] engine as the trust daemon.
 ///
 /// Subscriber connections are keep-alive — a derivative store connects
 /// once and re-polls on the same stream for its whole lifetime — so a
@@ -563,13 +397,11 @@ impl SubscriberBuilder {
             inner: self.build(),
             socket: socket.as_ref().to_path_buf(),
             stream: None,
-            keep_alive: true,
         }
     }
 }
 
-/// A subscriber that polls a [`FeedDistributionNode`] (or the
-/// deprecated [`FeedSocketServer`]) over the socket.
+/// A subscriber that polls a [`FeedDistributionNode`] over the socket.
 ///
 /// Wraps the sans-IO [`Subscriber`]'s *state* but performs its own
 /// verification of the transported artifacts, since it cannot hold a
@@ -578,17 +410,14 @@ impl SubscriberBuilder {
 /// read/write timeout and [`RemoteSubscriber::sync`] retries transient
 /// failures with the policy's (real, slept) backoff.
 ///
-/// Connections are kept alive across polls by default: the stream from
-/// a successful exchange is cached and reused, and a failure on a
-/// reused stream (a one-shot server hanging up, a restarted node)
-/// falls back to exactly one fresh connection before erroring — so the
-/// same subscriber works against both servers, paying the per-poll
-/// connect only where the server forces it.
+/// Connections are kept alive across polls: the stream from a
+/// successful exchange is cached and reused, and a failure on a reused
+/// stream (a restarted node closed it) falls back to exactly one fresh
+/// connection before erroring.
 pub struct RemoteSubscriber {
     inner: Subscriber,
     socket: PathBuf,
     stream: Option<UnixStream>,
-    keep_alive: bool,
 }
 
 impl RemoteSubscriber {
@@ -617,21 +446,11 @@ impl RemoteSubscriber {
         self.inner.serve(now)
     }
 
-    /// Toggle connection reuse across polls (on by default). Turning
-    /// it off drops any cached stream and reverts to one connection
-    /// per poll — the E21 ablation arm's access pattern.
-    pub fn set_keep_alive(&mut self, keep_alive: bool) {
-        self.keep_alive = keep_alive;
-        if !keep_alive {
-            self.stream = None;
-        }
-    }
-
     /// One request/response exchange, reusing the kept-alive stream
     /// when there is one. A failure on a reused stream is
-    /// indistinguishable from the server having hung up between polls
-    /// (the deprecated thread server always does), so it falls through
-    /// to one fresh connection rather than surfacing an error.
+    /// indistinguishable from the node having hung up between polls (a
+    /// restart closes every stream), so it falls through to one fresh
+    /// connection rather than surfacing an error.
     fn exchange(&mut self, request: &[u8], timeout: Duration) -> Result<Vec<u8>, RsfError> {
         if let Some(mut stream) = self.stream.take() {
             if let Ok(body) = roundtrip(&mut stream, request) {
@@ -643,9 +462,7 @@ impl RemoteSubscriber {
         stream.set_read_timeout(Some(timeout)).map_err(io_err)?;
         stream.set_write_timeout(Some(timeout)).map_err(io_err)?;
         let body = roundtrip(&mut stream, request)?;
-        if self.keep_alive {
-            self.stream = Some(stream);
-        }
+        self.stream = Some(stream);
         Ok(body)
     }
 
@@ -743,7 +560,6 @@ fn roundtrip(stream: &mut UnixStream, request: &[u8]) -> Result<Vec<u8>, RsfErro
 }
 
 #[cfg(test)]
-#[allow(deprecated)]
 mod tests {
     use super::*;
     use crate::clock::Clock;
@@ -766,13 +582,6 @@ mod tests {
         (Arc::new(Mutex::new(publisher)), trust, store)
     }
 
-    fn setup(tag: &str) -> (FeedSocketServer, RemoteSubscriber, RootStore) {
-        let (publisher, trust, store) = fresh_publisher(tag);
-        let server = FeedSocketServer::spawn(publisher, socket_path(tag)).unwrap();
-        let subscriber = Subscriber::builder("remote", trust).connect(server.socket_path());
-        (server, subscriber, store)
-    }
-
     fn setup_node(tag: &str) -> (FeedDistributionNode, RemoteSubscriber, RootStore) {
         let (publisher, trust, store) = fresh_publisher(tag);
         let node = FeedDistributionNode::spawn_with(publisher, socket_path(tag), 2, 2).unwrap();
@@ -780,34 +589,8 @@ mod tests {
         (node, subscriber, store)
     }
 
-    #[test]
-    fn remote_bootstrap_and_incremental_sync() {
-        let (server, mut subscriber, mut store) = setup("inc");
-        let report = subscriber.sync(0).unwrap();
-        assert!(report.report.snapshot_applied);
-        assert_eq!(subscriber.store().len(), 1);
-
-        // Publish a distrust; remote pickup on next poll.
-        let fp = *store.iter().next().unwrap().0;
-        store.distrust(fp, "incident");
-        server
-            .publisher()
-            .lock()
-            .unwrap()
-            .publish(&store, 100)
-            .unwrap();
-        let report = subscriber.sync(10).unwrap();
-        assert_eq!(report.report.deltas_applied, 1);
-        assert_eq!(subscriber.store().status(&fp), TrustStatus::Distrusted);
-
-        // Idle poll: nothing to apply, checkpoint still verifies.
-        let report = subscriber.sync(20).unwrap();
-        assert_eq!(report.report.deltas_applied, 0);
-        assert!(!report.report.snapshot_applied);
-    }
-
-    /// The same end-to-end flow against the reactor-backed node, over
-    /// a single kept-alive connection.
+    /// The end-to-end flow against the reactor-backed node, over a
+    /// single kept-alive connection.
     #[test]
     fn node_bootstrap_and_incremental_sync() {
         let (node, mut subscriber, mut store) = setup_node("node-inc");
@@ -836,6 +619,7 @@ mod tests {
         for now in [20, 30, 40] {
             let report = subscriber.sync(now).unwrap();
             assert_eq!(report.report.deltas_applied, 0);
+            assert!(!report.report.snapshot_applied);
         }
         let inline: u64 = (0..8)
             .map(|i| {
@@ -851,48 +635,30 @@ mod tests {
         assert!(inline >= 3, "idle re-polls served inline, got {inline}");
     }
 
-    /// Keep-alive against the one-shot thread server degrades
-    /// gracefully: the reused stream fails, the fallback connection
-    /// answers, and the poll still succeeds.
+    /// A node restart closes every kept-alive stream: the next poll's
+    /// reuse fails, the one fallback connection reaches the new node,
+    /// and the poll still succeeds.
     #[test]
-    fn keep_alive_falls_back_against_one_shot_server() {
-        let (_server, mut subscriber, _store) = setup("ka-fallback");
+    fn keep_alive_reconnects_after_node_restart() {
+        let (publisher, trust, _store) = fresh_publisher("ka-restart");
+        let path = socket_path("ka-restart");
+        let node = FeedDistributionNode::spawn_with(Arc::clone(&publisher), &path, 1, 1).unwrap();
+        let mut subscriber = Subscriber::builder("remote", trust).connect(&path);
         assert!(subscriber.sync(0).unwrap().report.snapshot_applied);
+        drop(node);
+        let _node = FeedDistributionNode::spawn_with(publisher, &path, 1, 1).unwrap();
         for now in [10, 20] {
-            let report = subscriber.sync(now).unwrap();
-            assert_eq!(report.report.deltas_applied, 0);
+            let report = subscriber.sync_once(now).unwrap();
+            assert_eq!(report.deltas_applied, 0);
         }
-    }
-
-    #[test]
-    fn wrong_coordinator_rejected_over_socket() {
-        let (server, _subscriber, _store) = setup("forge");
-        let other = CoordinatorKey::from_seed([9; 32], 4).unwrap();
-        // A virtual clock turns the retry backoff into instant,
-        // deterministic time-advancement: no real sleeping in the test.
-        let clock = crate::clock::VirtualClock::shared(0);
-        let mut victim = Subscriber::builder("victim", FeedTrust::single(other.public()))
-            .policy(crate::sync::SyncPolicy {
-                base_backoff_ms: 1_000,
-                max_backoff_ms: 2_000,
-                max_attempts: 3,
-                ..Default::default()
-            })
-            .clock(clock.clone())
-            .connect(server.socket_path());
-        let err = victim.sync_now();
-        assert!(matches!(err, Err(RsfError::Exhausted { .. })));
-        assert!(victim.store().is_empty());
-        assert!(
-            clock.now_millis() >= 1_000,
-            "backoff must have been slept on the virtual clock"
-        );
     }
 
     #[test]
     fn wrong_coordinator_rejected_over_node() {
         let (node, _subscriber, _store) = setup_node("node-forge");
         let other = CoordinatorKey::from_seed([9; 32], 4).unwrap();
+        // A virtual clock turns the retry backoff into instant,
+        // deterministic time-advancement: no real sleeping in the test.
         let clock = crate::clock::VirtualClock::shared(0);
         let mut victim = Subscriber::builder("victim", FeedTrust::single(other.public()))
             .policy(crate::sync::SyncPolicy {
@@ -906,15 +672,10 @@ mod tests {
         let err = victim.sync_now();
         assert!(matches!(err, Err(RsfError::Exhausted { .. })));
         assert!(victim.store().is_empty());
-    }
-
-    #[test]
-    fn server_socket_cleanup_on_drop() {
-        let (server, _s, _st) = setup("cleanup");
-        let path = server.socket_path().to_path_buf();
-        assert!(path.exists());
-        drop(server);
-        assert!(!path.exists());
+        assert!(
+            clock.now_millis() >= 1_000,
+            "backoff must have been slept on the virtual clock"
+        );
     }
 
     #[test]
@@ -929,21 +690,21 @@ mod tests {
         assert!(!path.exists());
     }
 
-    /// The shutdown satellite: a connection that never completes a
-    /// request must not wedge the thread server's Drop.
+    /// A connection that never completes a request must not wedge the
+    /// node's Drop.
     #[test]
-    fn server_drop_joins_stalled_connections() {
+    fn node_drop_with_stalled_connection_is_prompt() {
         let (publisher, _trust, _store) = fresh_publisher("stall");
-        let server = FeedSocketServer::spawn(publisher, socket_path("stall")).unwrap();
+        let node = FeedDistributionNode::spawn_with(publisher, socket_path("stall"), 1, 1).unwrap();
         // Half a request header, then silence.
-        let mut stalled = UnixStream::connect(server.socket_path()).unwrap();
+        let mut stalled = UnixStream::connect(node.socket_path()).unwrap();
         stalled.write_all(b"RSF").unwrap();
         std::thread::sleep(Duration::from_millis(50));
         let start = std::time::Instant::now();
-        drop(server);
+        drop(node);
         assert!(
             start.elapsed() < Duration::from_secs(2),
-            "drop must join serve threads promptly, took {:?}",
+            "drop must unwind promptly, took {:?}",
             start.elapsed()
         );
         drop(stalled);

@@ -206,3 +206,83 @@ fn feed_node_torture_512_keep_alive_subscribers() {
     drop(node);
     assert!(!path.exists(), "socket removed on drop");
 }
+
+/// Raise this process's soft `RLIMIT_NOFILE` to its hard limit (no
+/// libc crate in the offline workspace) and return the soft limit now
+/// in force.
+fn raise_nofile_limit() -> u64 {
+    #[repr(C)]
+    struct Rlimit {
+        cur: u64,
+        max: u64,
+    }
+    const RLIMIT_NOFILE: i32 = 7;
+    extern "C" {
+        fn getrlimit(resource: i32, rlim: *mut Rlimit) -> i32;
+        fn setrlimit(resource: i32, rlim: *const Rlimit) -> i32;
+    }
+    let mut lim = Rlimit { cur: 0, max: 0 };
+    // SAFETY: `lim` is a valid, writable Rlimit; the call fills it.
+    assert_eq!(unsafe { getrlimit(RLIMIT_NOFILE, &mut lim) }, 0);
+    if lim.cur < lim.max {
+        let want = Rlimit {
+            cur: lim.max,
+            max: lim.max,
+        };
+        // SAFETY: `want` is a valid Rlimit; failure leaves limits as-is.
+        if unsafe { setrlimit(RLIMIT_NOFILE, &want) } == 0 {
+            lim.cur = lim.max;
+        }
+    }
+    lim.cur
+}
+
+/// Liveness at 1,024 concurrent keep-alive subscriber connections, all
+/// driven from this one thread: every connection is open at once, and
+/// each completes one correct idle re-poll.
+#[test]
+fn thousand_subscribers_each_complete_a_round_trip_from_one_thread() {
+    const CONNECTIONS: usize = 1024;
+    // Client and node ends of every connection live in this process.
+    let limit = raise_nofile_limit();
+    assert!(
+        limit >= (2 * CONNECTIONS + 256) as u64,
+        "RLIMIT_NOFILE {limit} cannot hold {CONNECTIONS} connections"
+    );
+    let pki = simple_chain("feed-liveness.example");
+    let mut store = RootStore::new("nss");
+    store.add_trusted(pki.root.clone()).unwrap();
+    let coordinator = CoordinatorKey::from_seed([3; 32], 4).unwrap();
+    let key = FeedKey::new([4; 32], 6, &coordinator).unwrap();
+    let publisher = Arc::new(Mutex::new(
+        FeedPublisher::new("nss", key, &store, 0).unwrap(),
+    ));
+    let path =
+        std::env::temp_dir().join(format!("nrslb-feed-liveness-{}.sock", std::process::id()));
+    let _node =
+        FeedDistributionNode::spawn_with(Arc::clone(&publisher), &path, LOOPS, WORKERS).unwrap();
+    let request = {
+        let mut publisher = publisher.lock().unwrap();
+        let checkpoint = publisher.checkpoint().unwrap();
+        encode_request(publisher.sequence(), checkpoint.size)
+    };
+
+    // The reference idle reply, over one plain connection.
+    let mut rng = StdRng::seed_from_u64(0x11fe);
+    let mut probe = connect(&path);
+    probe.write_all(&request).unwrap();
+    let expected = read_reply(&mut probe, &mut rng);
+    drop(probe);
+
+    let mut streams: Vec<UnixStream> = (0..CONNECTIONS).map(|_| connect(&path)).collect();
+    for stream in &mut streams {
+        stream
+            .set_read_timeout(Some(Duration::from_secs(30)))
+            .unwrap();
+        stream.write_all(&request).unwrap();
+    }
+    for (i, stream) in streams.iter_mut().enumerate() {
+        let reply = read_reply(stream, &mut rng);
+        assert_eq!(reply, expected, "connection {i}: wrong idle reply");
+    }
+}

@@ -4,8 +4,10 @@
 //! generated-and-mutated chains and validates each `(chain, GCC,
 //! usage)` sample along every independent path the codebase offers:
 //!
-//! 1. **Compiled vs naive Datalog** — the semi-naive compiled plan
-//!    against the reference naive-iteration engine, per GCC per usage.
+//! 1. **Interned vs string Datalog** — the compiled interned engine
+//!    against the string-path reference evaluator, which shares no
+//!    interning, indexing or scratch machinery with it, per GCC per
+//!    usage.
 //! 2. **Cached vs cold sessions** — [`ValidationSession`] verdicts via
 //!    a shared [`VerdictCache`] (including a guaranteed hit on the
 //!    second pass) against cache-free evaluation.
@@ -15,10 +17,10 @@
 //!    (behind, quarantined, or stale at the virtual instant).
 //! 4. **In-process vs platform execution** — on a strided subset of
 //!    samples, the same validation with GCC evaluation delegated to a
-//!    live trust daemon over IPC (keep-alive client; respawns
-//!    alternate `Engine::Reactor` / `Engine::ThreadPool`, so the
-//!    reactor's fused inline cache-hit path is cross-checked too);
-//!    the two deployment modes must agree outcome-for-outcome.
+//!    live trust daemon over IPC (keep-alive client, so warm repeats
+//!    of a sampled chain cross-check the reactor's fused inline
+//!    cache-hit path too); the two deployment modes must agree
+//!    outcome-for-outcome.
 //! 5. **Incremental vs scratch Datalog maintenance** — after every
 //!    ecosystem event, the truth store's fact-level delta is applied
 //!    one fact at a time to persistent incrementally-maintained
@@ -39,7 +41,7 @@
 
 use crate::chaingen::SampleChain;
 use crate::ecosystem::{Ecosystem, EcosystemConfig};
-use nrslb_core::daemon::{ephemeral_socket_path, DaemonClient, Engine, TrustDaemon};
+use nrslb_core::daemon::{ephemeral_socket_path, DaemonClient, TrustDaemon};
 use nrslb_core::{ValidationMode, ValidationSession, Validator, VerdictCache};
 use nrslb_datalog::{
     delta_fact, CompiledProgram, Database, IncrementalState, LayeredDatabase, MaintenancePolicy,
@@ -59,7 +61,7 @@ pub struct DifferentialConfig {
     /// environment with [`seed_from_env`].
     pub seed: u64,
     /// Keep stepping until at least this many `(chain, GCC, usage)`
-    /// compiled-vs-naive checks have run.
+    /// interned-vs-string checks have run.
     pub min_gcc_checks: u64,
     /// Keep stepping until at least this many incremental-vs-scratch
     /// Datalog maintenance checks have run (each applied fact on each
@@ -71,7 +73,7 @@ pub struct DifferentialConfig {
     /// Chains drawn and cross-checked after each event.
     pub samples_per_event: u32,
     /// GCC templates pre-attached to every pool root before the first
-    /// publish, so compiled-vs-naive checks accumulate from the first
+    /// publish, so interned-vs-string checks accumulate from the first
     /// sample instead of waiting for evolution to attach coverage.
     pub initial_gccs_per_root: usize,
     /// Deliberate oracle fault: treat quarantined/stale replicas as if
@@ -119,7 +121,7 @@ pub fn seed_from_env(default: u64) -> u64 {
 /// itself, and the recent event trace.
 #[derive(Clone, Debug, Serialize)]
 pub struct Disagreement {
-    /// Which two paths disagreed (e.g. `compiled-vs-naive`).
+    /// Which two paths disagreed (e.g. `interned-vs-string`).
     pub kind: String,
     /// Human-oriented detail (verdicts on each side).
     pub detail: String,
@@ -150,7 +152,7 @@ pub struct DifferentialOutcome {
     pub events: u64,
     /// Chains drawn and cross-checked.
     pub samples: u64,
-    /// Compiled-vs-naive `(chain, GCC, usage)` checks.
+    /// Interned-vs-string `(chain, GCC, usage)` checks.
     pub gcc_checks: u64,
     /// Cached-vs-cold session comparisons.
     pub cache_checks: u64,
@@ -418,25 +420,15 @@ impl<'a> Oracle<'a> {
 
     /// A keep-alive client to a daemon serving the *current* truth
     /// store, respawning the daemon if truth moved since last time.
-    /// Respawns alternate engines by truth version (deterministic), so
-    /// the deployment-mode arm continuously cross-checks the reactor —
-    /// including its fused inline cache-hit path, which warm repeats
-    /// of a sampled chain exercise — against the thread pool.
     fn daemon_client(&mut self) -> Option<Arc<DaemonClient>> {
         if let Some((version, _, client)) = &self.daemon {
             if *version == self.truth_version {
                 return Some(Arc::clone(client));
             }
         }
-        let engine = if self.truth_version.is_multiple_of(2) {
-            Engine::Reactor
-        } else {
-            Engine::ThreadPool
-        };
         let daemon = TrustDaemon::builder()
             .socket(ephemeral_socket_path("sim-diff"))
             .workers(2)
-            .engine(engine)
             .spawn(self.truth.clone())
             .ok()?;
         let client = Arc::new(daemon.keep_alive_client());
@@ -455,26 +447,10 @@ impl<'a> Oracle<'a> {
         let gccs = self.truth.gccs_for(&anchor_fp).to_vec();
 
         for usage in Usage::ALL {
-            // Path 1: compiled vs naive Datalog, per GCC — and the
-            // interned engine against the string-path reference
-            // evaluator, which shares no interning, indexing, or
-            // scratch machinery with it.
+            // Path 1: the interned engine against the string-path
+            // reference evaluator, per GCC.
             for gcc in &gccs {
                 let compiled = session.evaluate_gcc(gcc, usage);
-                let naive = session.evaluate_gcc_naive(gcc, usage);
-                self.outcome.gcc_checks += 1;
-                match (&compiled, &naive) {
-                    (Ok(c), Ok(n)) if c == n => {}
-                    _ => self.record(
-                        eco,
-                        sample,
-                        usage,
-                        sample_index,
-                        "compiled-vs-naive",
-                        format!("compiled={compiled:?} naive={naive:?}"),
-                        Some((gcc.name(), gcc.source())),
-                    ),
-                }
                 let string_ref = session.evaluate_gcc_string(gcc, usage);
                 self.outcome.gcc_checks += 1;
                 match (&compiled, &string_ref) {

@@ -38,7 +38,7 @@
 //!   through per-subscriber `FaultInjector`s to a fleet of heterogeneous
 //!   [`Subscriber`](nrslb_rsf::Subscriber)s, with optional split-view
 //!   attack injection.
-//! * [`differential`] — the oracle: compiled-vs-naive Datalog,
+//! * [`differential`] — the oracle: interned-vs-string Datalog,
 //!   cached-vs-cold sessions, primary-vs-replica stores; disagreements
 //!   dump seed + trace + DER repros and fail the run.
 

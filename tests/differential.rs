@@ -23,7 +23,7 @@ fn oracle_agrees_across_a_thousand_samples() {
     let outcome = run_differential(&ci_config());
     assert!(
         outcome.gcc_checks >= 1_000,
-        "need >=1000 compiled-vs-naive checks, got {}",
+        "need >=1000 interned-vs-string checks, got {}",
         outcome.gcc_checks
     );
     assert!(outcome.cache_checks > 0, "cache path never exercised");

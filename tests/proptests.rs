@@ -3,7 +3,7 @@
 
 use nrslb::crypto::merkle::{leaf_hash, verify_inclusion, MerkleTree};
 use nrslb::crypto::{hex, sha256};
-use nrslb::datalog::{Database, Engine, Program, Val};
+use nrslb::datalog::{CompiledProgram, Database, Program, Val};
 use nrslb::der::{decode, encode, Oid, Value};
 use proptest::prelude::*;
 
@@ -165,7 +165,10 @@ proptest! {
         }
         let text = db.to_fact_text();
         let program = Program::parse(&text).expect("fact text parses");
-        let rebuilt = Engine::new(&program).unwrap().run(Database::new()).unwrap();
+        let rebuilt = CompiledProgram::compile(&program)
+            .unwrap()
+            .run(Database::new())
+            .unwrap();
         prop_assert_eq!(rebuilt.len(), db.len());
         for (pred, tuple) in &facts {
             prop_assert!(rebuilt.contains(pred, tuple));
@@ -202,7 +205,7 @@ proptest! {
         let program = Program::parse(
             "reach(X,Y) :- edge(X,Y). reach(X,Z) :- reach(X,Y), edge(Y,Z).",
         ).unwrap();
-        let out = Engine::new(&program).unwrap().run(db).unwrap();
+        let out = CompiledProgram::compile(&program).unwrap().run(db).unwrap();
         for i in 0..12i64 {
             for j in 0..12i64 {
                 prop_assert_eq!(
