@@ -85,15 +85,13 @@ cargo test -p nrslb-crypto --test shamir_field --test shamir_roundtrip -q
 echo "==> quorum adversarial + wire proptests"
 cargo test -p nrslb-rsf --test quorum_adversarial --test proptest_quorum_wire -q
 
-echo "==> compromised-minority quorum smoke (release, bounded, asserted)"
-# Bounded e20 run: an attacker holding k-1 of the quorum's signers
-# stages >= 200 forged-checkpoint presentations through the ecosystem
-# sim — zero may be accepted, and the failing NRSLB_SIM_SEED is printed
-# on violation. Also hard-asserts the quorum arm's warm (idle re-poll)
-# sync path stays within 5% of the single-signer ablation. Full-scale
-# numbers live in the committed BENCH_e20.json; the smoke writes to a
-# scratch path.
-NRSLB_E20_ASSERT=1 NRSLB_SCALE=12 NRSLB_JSON="$(mktemp)" \
+echo "==> compromised-minority quorum smoke (release, asserted)"
+# e20: an attacker holding k-1 of the quorum's signers stages >= 200
+# forged-checkpoint presentations through the ecosystem sim — zero may
+# be accepted, and the failing NRSLB_SIM_SEED is printed on violation.
+# The committed BENCH_e20.json holds the recorded run; the smoke writes
+# to a scratch path.
+NRSLB_E20_ASSERT=1 NRSLB_JSON="$(mktemp)" \
     cargo run --release -q -p nrslb-bench --bin e20_quorum
 
 echo "==> verdict cost ledger tests"

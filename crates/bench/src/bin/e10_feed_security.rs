@@ -3,20 +3,21 @@
 //!
 //! Three adversaries against the feed channel:
 //!
-//! 1. **forger** — signs messages with an unendorsed key: rejected by
-//!    the coordinator-endorsement link;
+//! 1. **forger** — signs messages with a key a rogue quorum endorsed:
+//!    rejected by the quorum-endorsement link;
 //! 2. **tamperer** — flips bytes in transit: rejected by the message
 //!    signature (measured: fraction of 1 000 mutations accepted);
-//! 3. **equivocator** — serves a rewritten history: rejected by the
-//!    transparency-log consistency proof at the *next poll* (measured:
-//!    polls until detection).
+//! 3. **equivocator** — serves a rewritten history, signed and
+//!    quorum-witnessed: rejected by the transparency-log consistency
+//!    proof at the *next poll* (measured: polls until detection).
 
 use nrslb_bench::{header, maybe_write_json};
 use nrslb_rootstore::RootStore;
 use nrslb_rsf::signing::MessageKind;
 use nrslb_rsf::translog::verify_extension;
 use nrslb_rsf::{
-    CoordinatorKey, FeedKey, FeedPublisher, FeedTrust, SignedMessage, Subscriber, TransparencyLog,
+    FeedKey, FeedPublisher, FeedTrust, QuorumAuthority, QuorumConfig, SignedMessage, Subscriber,
+    TransparencyLog,
 };
 use nrslb_x509::testutil::simple_chain;
 use serde::Serialize;
@@ -29,26 +30,31 @@ struct Report {
     equivocation_detected_within_polls: u32,
 }
 
+/// A 2-of-3 coordinating body. Its signers sign one endorsement and at
+/// most one checkpoint witness here, within a height-2 key's four.
+fn quorum_authority(seed: u8) -> QuorumAuthority {
+    QuorumAuthority::from_seed([seed; 32], QuorumConfig { k: 2, n: 3 }, 2).unwrap()
+}
+
 fn main() {
     header(
         "E10",
         "feed-channel security: forgery, tampering, equivocation",
         "paper §4 (RSFs as critical infrastructure; immutable logs)",
     );
-    let coordinator = CoordinatorKey::from_seed([0xe1; 32], 6).unwrap();
-    let trust = FeedTrust::single(coordinator.public());
-    let key = FeedKey::new([0xe2; 32], 10, &coordinator).unwrap();
+    let authority = quorum_authority(0xe1);
+    let trust = FeedTrust::quorum(authority.trust());
+    let key = FeedKey::new_quorum([0xe2; 32], 10, &authority).unwrap();
 
     let pki = simple_chain("e10.example");
     let mut store = RootStore::new("nss");
     store.add_trusted(pki.root.clone()).unwrap();
-    let mut publisher = FeedPublisher::new("nss", key, &store, 0).unwrap();
+    let mut publisher = FeedPublisher::new_quorum("nss", key, authority, &store, 0).unwrap();
     let mut subscriber = Subscriber::builder("derivative", trust.clone()).build();
     subscriber.sync(&mut publisher, 0).unwrap();
 
     // 1. Forgery.
-    let rogue_coord = CoordinatorKey::from_seed([0xe3; 32], 4).unwrap();
-    let rogue_key = FeedKey::new([0xe4; 32], 6, &rogue_coord).unwrap();
+    let rogue_key = FeedKey::new_quorum([0xe4; 32], 6, &quorum_authority(0xe3)).unwrap();
     let forged = rogue_key
         .sign(MessageKind::Snapshot, b"malicious snapshot")
         .unwrap();
@@ -79,10 +85,13 @@ fn main() {
 
     // 3. Equivocation: the publisher serves the subscriber a rewritten
     // log. Simulated directly against the checkpoint API: the subscriber
-    // pinned the honest checkpoint; the equivocator presents a forked
-    // history of greater size with a "valid-looking" proof.
+    // pinned the honest checkpoint; the equivocator — the publisher,
+    // holding the same feed key and quorum material — presents a forked,
+    // fully witnessed history of greater size with a "valid-looking"
+    // proof.
     let honest_checkpoint = subscriber.pinned_checkpoint().unwrap().clone();
-    let fork_key = FeedKey::new([0xe2; 32], 10, &coordinator).unwrap(); // same feed key material
+    let fork_authority = quorum_authority(0xe1);
+    let fork_key = FeedKey::new_quorum([0xe2; 32], 10, &fork_authority).unwrap();
     let mut forked = TransparencyLog::new();
     for i in 0..3 {
         let m = fork_key
@@ -90,7 +99,7 @@ fn main() {
             .unwrap();
         forked.append(&m);
     }
-    let fork_checkpoint = forked.checkpoint(&fork_key).unwrap();
+    let fork_checkpoint = forked.checkpoint(&fork_key, &fork_authority).unwrap();
     let fork_proof = forked.prove_consistency(honest_checkpoint.size, fork_checkpoint.size);
     let mut detected_at = 0u32;
     for poll in 1..=3u32 {
@@ -99,6 +108,7 @@ fn main() {
             &fork_checkpoint,
             fork_proof.as_ref(),
             &fork_key.public(),
+            &trust,
         );
         if result.is_err() {
             detected_at = poll;

@@ -18,7 +18,7 @@ use nrslb_core::daemon::{ephemeral_socket_path, TrustDaemon};
 use nrslb_core::{Usage, ValidationMode, Validator};
 use nrslb_obs::Registry;
 use nrslb_rootstore::{Gcc, GccMetadata, RootStore};
-use nrslb_rsf::{CoordinatorKey, FeedKey, FeedPublisher, FeedTrust, Subscriber};
+use nrslb_rsf::{FeedKey, FeedPublisher, FeedTrust, QuorumAuthority, QuorumConfig, Subscriber};
 use nrslb_x509::testutil::simple_chain;
 use nrslb_x509::Certificate;
 use serde::Serialize;
@@ -205,10 +205,12 @@ fn main() {
         .registry(Arc::clone(&daemon_registry))
         .spawn(store.clone())
         .unwrap();
-    let coordinator = CoordinatorKey::from_seed([0x15; 32], 4).unwrap();
-    let feed_key = FeedKey::new([0x16; 32], 6, &coordinator).unwrap();
-    let mut publisher = FeedPublisher::new("e15", feed_key, &store, 0).unwrap();
-    let trust = FeedTrust::single(coordinator.public());
+    // A 2-of-3 quorum: each signer signs the endorsement and the one
+    // checkpoint this sync pins.
+    let authority = QuorumAuthority::from_seed([0x15; 32], QuorumConfig { k: 2, n: 3 }, 2).unwrap();
+    let trust = FeedTrust::quorum(authority.trust());
+    let feed_key = FeedKey::new_quorum([0x16; 32], 6, &authority).unwrap();
+    let mut publisher = FeedPublisher::new_quorum("e15", feed_key, authority, &store, 0).unwrap();
     let feed = Arc::new(Mutex::new(
         Subscriber::builder("e15", trust)
             .registry(Arc::clone(&daemon_registry))

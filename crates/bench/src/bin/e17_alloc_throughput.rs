@@ -15,10 +15,8 @@
 //!    through the compiled interned engine vs the string reference.
 //! 3. **Serving fast path**: bytes per verdict for verdict-cache hits
 //!    through [`evaluate_gccs_lazy_into`] with a reused buffer.
-//! 4. **Daemon throughput**: warm req/s at 1/2/4/8 keep-alive clients —
-//!    the e16 workload rerun on the interned core (parsed-cert cache,
-//!    interned facts, shared `Arc<str>` GCC names), compared against
-//!    the committed `BENCH_e16.json` baseline when present.
+//!
+//! Daemon throughput on the same workload shape is E16's to measure.
 //!
 //! `NRSLB_E17_ASSERT=1` turns the warm-path allocation bound into a
 //! hard failure (the CI smoke). The JSON report lands in `NRSLB_JSON`,
@@ -26,26 +24,20 @@
 
 use nrslb_bench::alloc::CountingAlloc;
 use nrslb_bench::{header, scale, Timer};
-use nrslb_core::daemon::{ephemeral_socket_path, TrustDaemon};
 use nrslb_core::session::evaluate_gccs_lazy_into;
 use nrslb_core::{Usage, ValidationSession, VerdictCache};
-use nrslb_obs::Registry;
-use nrslb_rootstore::{Gcc, GccMetadata, RootStore};
+use nrslb_rootstore::{Gcc, GccMetadata};
 use nrslb_x509::testutil::simple_chain;
 use nrslb_x509::Certificate;
 use serde::Serialize;
-use std::sync::Arc;
 
 #[global_allocator]
 static ALLOC: CountingAlloc = CountingAlloc::new();
 
-/// Same workload shape as E16 so the daemon numbers are comparable:
-/// every chain root carries `GCCS_PER_ROOT` distinct GCCs.
+/// Same workload shape as E16: every chain root carries
+/// `GCCS_PER_ROOT` distinct GCCs.
 const GCCS_PER_ROOT: usize = 12;
-const CLIENT_COUNTS: [usize; 4] = [1, 2, 4, 8];
-const WORKERS: usize = 8;
 const WARM_PASSES: usize = 6;
-const TRIALS: usize = 3;
 /// Hard ceiling for the CI smoke: the warm cache-miss path must stay
 /// under this many bytes of gross allocation per verdict (the design
 /// target is zero; the bound leaves room for incidental one-off growth
@@ -60,12 +52,6 @@ struct AllocRow {
 }
 
 #[derive(Serialize)]
-struct DaemonRow {
-    clients: usize,
-    warm_rps: f64,
-}
-
-#[derive(Serialize)]
 struct Report {
     cpus: usize,
     chains: usize,
@@ -75,20 +61,14 @@ struct Report {
     interned_rps: f64,
     string_rps: f64,
     interned_vs_string: f64,
-    daemon: Vec<DaemonRow>,
-    daemon_warm_rps_at_8: f64,
-    e16_baseline_warm_rps_at_8: Option<f64>,
-    vs_e16_baseline: Option<f64>,
     warm_bytes_bound: f64,
 }
 
-fn build_workload(n_chains: usize) -> (RootStore, Vec<Vec<Certificate>>, Vec<Vec<Gcc>>) {
-    let mut store = RootStore::new("e17");
+fn build_workload(n_chains: usize) -> (Vec<Vec<Certificate>>, Vec<Vec<Gcc>>) {
     let mut chains = Vec::with_capacity(n_chains);
     let mut gcc_sets = Vec::with_capacity(n_chains);
     for c in 0..n_chains {
         let pki = simple_chain(&format!("e17-{c}.example"));
-        store.add_trusted(pki.root.clone()).unwrap();
         let mut gccs = Vec::with_capacity(GCCS_PER_ROOT);
         for g in 0..GCCS_PER_ROOT {
             let src = format!(
@@ -102,13 +82,12 @@ valid(Chain, _) :- leaf(Chain, C), notBefore(C, NB), cutoff{g}(T), NB < T."#
                 GccMetadata::default(),
             )
             .unwrap();
-            store.attach_gcc(gcc.clone()).unwrap();
             gccs.push(gcc);
         }
         chains.push(vec![pki.leaf, pki.intermediate, pki.root]);
         gcc_sets.push(gccs);
     }
-    (store, chains, gcc_sets)
+    (chains, gcc_sets)
 }
 
 /// Evaluate every GCC of every chain once through held sessions;
@@ -136,47 +115,6 @@ fn sweep_string(sessions: &[ValidationSession], gcc_sets: &[Vec<Gcc>]) -> usize 
     verdicts
 }
 
-/// Keep-alive clients sweeping the chain set `passes` times; req/s.
-fn drive(daemon: &TrustDaemon, chains: &[Vec<Certificate>], clients: usize, passes: usize) -> f64 {
-    let total = (clients * passes * chains.len()) as f64;
-    let t = Timer::start();
-    std::thread::scope(|scope| {
-        for c in 0..clients {
-            let conn = daemon.keep_alive_client();
-            scope.spawn(move || {
-                for p in 0..passes {
-                    for i in 0..chains.len() {
-                        let chain = &chains[(c * 7 + p + i) % chains.len()];
-                        let verdicts = conn.evaluate(chain, Usage::Tls).unwrap();
-                        assert_eq!(verdicts.len(), GCCS_PER_ROOT);
-                    }
-                }
-            });
-        }
-    });
-    total / t.secs()
-}
-
-/// Pull `scaling[clients == 8].warm_rps` out of the committed E16
-/// artifact. The vendored `serde_json` shim is serialization-only, so
-/// this leans on the artifact's stable pretty-printed field order
-/// (`clients` precedes `warm_rps` within each scaling row).
-fn e16_baseline_at_8() -> Option<f64> {
-    let text = std::fs::read_to_string("BENCH_e16.json").ok()?;
-    let mut in_row_8 = false;
-    for line in text.lines() {
-        let line = line.trim();
-        if let Some(rest) = line.strip_prefix("\"clients\":") {
-            in_row_8 = rest.trim().trim_end_matches(',') == "8";
-        } else if in_row_8 {
-            if let Some(rest) = line.strip_prefix("\"warm_rps\":") {
-                return rest.trim().trim_end_matches(',').parse().ok();
-            }
-        }
-    }
-    None
-}
-
 fn main() {
     header(
         "E17",
@@ -186,11 +124,9 @@ fn main() {
     let assert_mode = std::env::var("NRSLB_E17_ASSERT").is_ok_and(|v| v == "1");
     let cpus = std::thread::available_parallelism().map_or(1, |n| n.get());
     let n_chains = scale(32);
-    let (store, chains, gcc_sets) = build_workload(n_chains);
+    let (chains, gcc_sets) = build_workload(n_chains);
     let verdicts_per_pass = n_chains * GCCS_PER_ROOT;
-    println!(
-        "workload: {n_chains} chains x {GCCS_PER_ROOT} GCCs, {cpus} CPUs, best of {TRIALS} trials"
-    );
+    println!("workload: {n_chains} chains x {GCCS_PER_ROOT} GCCs, {cpus} CPUs");
 
     // --- 1. Allocation budget (single thread; nothing else running) ---
     // Cold: fresh sessions, first evaluation — fact conversion, scratch
@@ -281,39 +217,6 @@ fn main() {
          — {interned_vs_string:.1}x"
     );
 
-    // --- 3. Daemon warm throughput on the interned core ---
-    let mut daemon_rows = Vec::new();
-    println!("\n{:>8} {:>12}", "clients", "warm r/s");
-    for clients in CLIENT_COUNTS {
-        // Same daemon configuration as E16's, so the rows compare.
-        let daemon = TrustDaemon::builder()
-            .socket(ephemeral_socket_path(&format!("e17d{clients}")))
-            .workers(WORKERS)
-            .registry(Arc::new(Registry::new()))
-            .spawn(store.clone())
-            .unwrap();
-        drive(&daemon, &chains, clients, 1); // fill the caches
-        let mut warm_rps = 0f64;
-        for _ in 0..TRIALS {
-            warm_rps = warm_rps.max(drive(&daemon, &chains, clients, WARM_PASSES));
-        }
-        println!("{clients:>8} {warm_rps:>12.0}");
-        daemon_rows.push(DaemonRow { clients, warm_rps });
-    }
-    let at8 = daemon_rows
-        .iter()
-        .find(|r| r.clients == 8)
-        .expect("8-client row")
-        .warm_rps;
-    let baseline = e16_baseline_at_8();
-    let vs_baseline = baseline.map(|b| at8 / b);
-    match (baseline, vs_baseline) {
-        (Some(b), Some(r)) => {
-            println!("\ndaemon at 8 clients: {at8:.0} r/s vs e16 baseline {b:.0} r/s — {r:.2}x")
-        }
-        _ => println!("\ndaemon at 8 clients: {at8:.0} r/s (no BENCH_e16.json baseline found)"),
-    }
-
     // --- Acceptance gate: the warm path is allocation-free ---
     let warm_bytes = alloc_rows[1].bytes_per_verdict;
     println!(
@@ -344,10 +247,6 @@ fn main() {
         interned_rps,
         string_rps,
         interned_vs_string,
-        daemon: daemon_rows,
-        daemon_warm_rps_at_8: at8,
-        e16_baseline_warm_rps_at_8: baseline,
-        vs_e16_baseline: vs_baseline,
         warm_bytes_bound: WARM_BYTES_PER_VERDICT_BOUND,
     };
     let path = std::env::var("NRSLB_JSON").unwrap_or_else(|_| "BENCH_e17.json".to_string());

@@ -383,7 +383,10 @@ fn demo_incidents(out: &mut dyn Write) -> Result<(), CliError> {
 /// ceremony flowing through the feed like any other mutation.
 fn demo_quorum(opts: &Opts, out: &mut dyn Write) -> Result<(), CliError> {
     use nrslb_crypto::shamir;
-    use nrslb_rsf::{FeedKey, FeedPublisher, FeedTrust, QuorumAuthority, QuorumConfig, Subscriber};
+    use nrslb_rsf::{
+        FeedKey, FeedPublisher, FeedTrust, QuorumAuthority, QuorumConfig, QuorumSignature,
+        Subscriber,
+    };
 
     let parse = |key: &str, default: &str| -> Result<u8, CliError> {
         opts.get_or(key, default)
@@ -457,13 +460,16 @@ fn demo_quorum(opts: &Opts, out: &mut dyn Write) -> Result<(), CliError> {
     let minority = QuorumAuthority::from_seed([0x42; 32], config, 6).map_err(invalid)?;
     let ids: Vec<u8> = (0..k - 1).collect();
     forged.witness = if ids.is_empty() {
-        None
+        // No member to sign: an empty witness at the current epoch.
+        QuorumSignature {
+            epoch: minority.epoch(),
+            bitmap: 0,
+            partials: Vec::new(),
+        }
     } else {
-        Some(
-            minority
-                .sign_with(&ids, &forged.encode())
-                .map_err(invalid)?,
-        )
+        minority
+            .sign_with(&ids, &forged.encode())
+            .map_err(invalid)?
     };
     match subscriber.poll(messages, forged, None, 20) {
         Err(e) => writeln!(out, "  {}-signer forgery: rejected ({e})", k - 1).ok(),
@@ -705,6 +711,17 @@ mod tests {
         let out = run_cmd(&["demo", "quorum", "--k", "3", "--n", "4"]).unwrap();
         assert!(out.contains("3-of-4 coordinating body"), "{out}");
         assert!(out.contains("2-signer forgery: rejected"), "{out}");
+
+        // With k = 1 the forger holds no member key: its empty witness
+        // is a retryable sub-quorum rejection, and recovery still syncs.
+        let out = run_cmd(&["demo", "quorum", "--k", "1", "--n", "2"]).unwrap();
+        assert!(
+            out.contains(
+                "0-signer forgery: rejected (feed signature failure: sub-quorum signature)"
+            ),
+            "{out}"
+        );
+        assert!(out.contains("recovery sync"), "{out}");
 
         assert!(run_cmd(&["demo", "quorum", "--k", "5", "--n", "3"]).is_err());
         assert!(run_cmd(&["demo", "quorum", "--k", "0"]).is_err());

@@ -680,6 +680,7 @@ mod tests {
     use super::*;
     use crate::validate::{ValidationMode, Validator};
     use nrslb_rootstore::{Gcc, GccMetadata};
+    use nrslb_rsf::{FeedKey, FeedPublisher, FeedTrust, QuorumAuthority, QuorumConfig};
     use nrslb_x509::testutil::simple_chain;
 
     fn spawn_default(store: RootStore, tag: &str) -> TrustDaemon {
@@ -687,6 +688,18 @@ mod tests {
             .socket(ephemeral_socket_path(tag))
             .spawn(store)
             .unwrap()
+    }
+
+    /// A 2-of-3 quorum-governed publisher of `store` and the trust
+    /// pinning it. Each signer signs the endorsement and one witness
+    /// per checkpoint; no test here checkpoints more than twice.
+    fn quorum_feed(seed: u8, store: &RootStore) -> (FeedPublisher, FeedTrust) {
+        let authority =
+            QuorumAuthority::from_seed([seed; 32], QuorumConfig { k: 2, n: 3 }, 2).unwrap();
+        let trust = FeedTrust::quorum(authority.trust());
+        let key = FeedKey::new_quorum([seed + 1; 32], 6, &authority).unwrap();
+        let publisher = FeedPublisher::new_quorum("platform", key, authority, store, 0).unwrap();
+        (publisher, trust)
     }
 
     #[test]
@@ -830,14 +843,10 @@ mod tests {
 
     #[test]
     fn daemon_scrapes_feed_sync_counters() {
-        use nrslb_rsf::{CoordinatorKey, FeedKey, FeedPublisher, FeedTrust};
         let pki = simple_chain("daemonfeed.example");
         let mut store = RootStore::new("platform");
         store.add_trusted(pki.root.clone()).unwrap();
-        let coordinator = CoordinatorKey::from_seed([21; 32], 4).unwrap();
-        let key = FeedKey::new([22; 32], 6, &coordinator).unwrap();
-        let mut publisher = FeedPublisher::new("platform", key, &store, 0).unwrap();
-        let trust = FeedTrust::single(coordinator.public());
+        let (mut publisher, trust) = quorum_feed(21, &store);
         let feed = Arc::new(Mutex::new(Subscriber::builder("platform", trust).build()));
 
         let mut daemon = spawn_default(store, "feed");
@@ -866,8 +875,6 @@ mod tests {
     /// instead of absorbing updates wholesale.
     #[test]
     fn daemon_refresh_from_feed_invalidates_by_taint() {
-        use nrslb_rsf::{CoordinatorKey, FeedKey, FeedPublisher, FeedTrust};
-
         let pki_a = simple_chain("refresh-a.example");
         let pki_b = simple_chain("refresh-b.example");
         let mut store = RootStore::new("platform");
@@ -885,10 +892,7 @@ mod tests {
             store.attach_gcc(gcc).unwrap();
         }
 
-        let coordinator = CoordinatorKey::from_seed([41; 32], 4).unwrap();
-        let key = FeedKey::new([42; 32], 6, &coordinator).unwrap();
-        let mut publisher = FeedPublisher::new("platform", key, &store, 0).unwrap();
-        let trust = FeedTrust::single(coordinator.public());
+        let (mut publisher, trust) = quorum_feed(41, &store);
         let feed = Arc::new(Mutex::new(Subscriber::builder("platform", trust).build()));
 
         let mut daemon = spawn_default(store.clone(), "refresh");
@@ -953,7 +957,6 @@ mod tests {
     #[test]
     fn scraped_metrics_cover_cache_validation_and_feed() {
         use crate::validate::{ValidationMode, Validator};
-        use nrslb_rsf::{CoordinatorKey, FeedKey, FeedPublisher, FeedTrust};
 
         let pki = simple_chain("scrape.example");
         let mut store = RootStore::new("platform");
@@ -978,10 +981,7 @@ mod tests {
             .registry(Arc::clone(&registry))
             .spawn(store.clone())
             .unwrap();
-        let coordinator = CoordinatorKey::from_seed([31; 32], 4).unwrap();
-        let key = FeedKey::new([32; 32], 6, &coordinator).unwrap();
-        let mut publisher = FeedPublisher::new("platform", key, &store, 0).unwrap();
-        let trust = FeedTrust::single(coordinator.public());
+        let (mut publisher, trust) = quorum_feed(31, &store);
         let feed = Arc::new(Mutex::new(
             Subscriber::builder("platform", trust)
                 .registry(Arc::clone(&registry))

@@ -44,7 +44,7 @@ pub use clock::{Clock, VirtualClock, WallClock};
 pub use feed::{Delta, GccEntry, RootEntry, Snapshot, SystematicConstraints};
 pub use merge::{merge_stores, Conflict, MergeReport};
 pub use quorum::{QuorumAuthority, QuorumConfig, QuorumSignature, QuorumTrust, RotationEvent};
-pub use signing::{CoordinatorKey, Endorsement, FeedKey, FeedTrust, SignedMessage};
+pub use signing::{FeedKey, FeedTrust, SignedMessage};
 pub use socket::{FeedDistributionNode, RemoteSubscriber};
 pub use sync::{
     FeedUpdate, ResilientReport, Staleness, Subscriber, SubscriberBuilder, SyncCounters, SyncEvent,

@@ -1,10 +1,10 @@
 //! k-of-n threshold signing for the coordinating body.
 //!
 //! The paper endorses feed keys through "a coordinating body like
-//! ICANN" (§4). A single signing key makes that body a single point of
-//! compromise: whoever exfiltrates it forges the feed for every
-//! derivative store. This module replaces the lone
-//! [`CoordinatorKey`](crate::signing::CoordinatorKey) with a quorum:
+//! ICANN" (§4). A single signing key would make that body a single
+//! point of compromise: whoever exfiltrates it forges the feed for
+//! every derivative store. The body is therefore a quorum, and it is
+//! the feed's only trust scheme:
 //!
 //! * The body's **master secret** is Shamir-split
 //!   ([`nrslb_crypto::shamir`]) into `n` shares with threshold `k`;
@@ -22,9 +22,9 @@
 //!   the transparency log like any other feed mutation. After a
 //!   rotation is applied, partial signatures minted under the retired
 //!   epoch are rejected (the epoch is bound into every signed byte).
-//!
-//! The single-signer path is kept as a byte-identical ablation arm
-//! (see DESIGN.md §5f); new deployments should pin a quorum.
+//! * Every feed message carries a quorum endorsement of the feed key
+//!   ([`crate::signing`]) and every checkpoint a quorum witness
+//!   ([`crate::translog`]); see DESIGN.md §5f.
 
 use crate::wire::{Reader, Writer};
 use crate::RsfError;

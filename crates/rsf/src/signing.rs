@@ -2,20 +2,11 @@
 //! should itself be signed by a coordinating body like ICANN" (§4).
 //!
 //! Two-link verification chain: subscribers pin the **coordinating
-//! body** ([`FeedTrust`]); each message carries the feed's public key,
-//! the body's *endorsement* of that key, and the feed's signature over
-//! the payload.
-//!
-//! The coordinating body comes in two shapes:
-//!
-//! * [`FeedTrust::Single`] — one [`CoordinatorKey`]. This is the
-//!   original scheme, kept as a byte-identical ablation arm
-//!   (`RSF1-SIGNED` frames); it is **deprecated in favour of the
-//!   quorum** because one leaked key forges the feed for every
-//!   derivative store (DESIGN.md §5f).
-//! * [`FeedTrust::Quorum`] — a k-of-n signer set
-//!   ([`crate::quorum::QuorumTrust`]); endorsements are
-//!   [`QuorumSignature`]s and frames are tagged `RSF2-SIGNED`.
+//! body** ([`FeedTrust`]), a k-of-n signer set
+//! ([`crate::quorum::QuorumTrust`]); each `RSF2-SIGNED` message carries
+//! the feed's public key, the body's [`QuorumSignature`] endorsing that
+//! key, and the feed's signature over the payload. No single leaked
+//! member key can endorse a rogue feed key (DESIGN.md §5f).
 
 use crate::quorum::{QuorumAuthority, QuorumSignature, QuorumTrust, RotationEvent};
 use crate::wire::{Reader, Writer};
@@ -28,7 +19,7 @@ use std::sync::Mutex;
 const ENDORSE_TAG: &[u8] = b"nrslb-rsf-endorse-v1:";
 const MESSAGE_TAG: &[u8] = b"nrslb-rsf-message-v1:";
 
-pub(crate) fn endorse_bytes(feed_key: &PublicKey) -> Vec<u8> {
+fn endorse_bytes(feed_key: &PublicKey) -> Vec<u8> {
     let mut out = ENDORSE_TAG.to_vec();
     out.extend_from_slice(&feed_key.to_bytes());
     out
@@ -41,76 +32,14 @@ fn message_bytes(kind: MessageKind, payload: &[u8]) -> Vec<u8> {
     out
 }
 
-/// The coordinating body's signing key (the ICANN stand-in).
-pub struct CoordinatorKey {
-    keypair: Mutex<Keypair>,
-    public: PublicKey,
-}
-
-impl CoordinatorKey {
-    /// Deterministic coordinator key from a seed.
-    pub fn from_seed(seed: [u8; 32], height: u8) -> Result<CoordinatorKey, RsfError> {
-        let keypair =
-            Keypair::from_seed(seed, height).map_err(|_| RsfError::Wire("bad key params"))?;
-        let public = keypair.public();
-        Ok(CoordinatorKey {
-            keypair: Mutex::new(keypair),
-            public,
-        })
-    }
-
-    /// The coordinator's public key; subscribers pin this.
-    pub fn public(&self) -> PublicKey {
-        self.public
-    }
-
-    /// Endorse a feed key.
-    pub fn endorse(&self, feed_key: &PublicKey) -> Result<Signature, RsfError> {
-        self.keypair
-            .lock()
-            .unwrap()
-            .sign(&endorse_bytes(feed_key))
-            .map_err(|_| RsfError::BadSignature("coordinator key exhausted"))
-    }
-}
-
-/// A coordinating body's endorsement of a feed key — either the legacy
-/// single signature or a k-of-n quorum signature.
-#[derive(Clone, Debug)]
-pub enum Endorsement {
-    /// One [`CoordinatorKey`] signature (deprecated ablation arm;
-    /// byte-identical `RSF1-SIGNED` frames).
-    Single(Signature),
-    /// A k-of-n quorum signature (`RSF2-SIGNED` frames).
-    Quorum(QuorumSignature),
-}
-
-/// A feed operator's signing key plus its coordinating-body endorsement.
+/// A feed operator's signing key plus the quorum's endorsement of it.
 pub struct FeedKey {
     keypair: Mutex<Keypair>,
     public: PublicKey,
-    endorsement: Mutex<Endorsement>,
+    endorsement: Mutex<QuorumSignature>,
 }
 
 impl FeedKey {
-    /// Create a feed key and have `coordinator` endorse it
-    /// (single-signer ablation arm).
-    pub fn new(
-        seed: [u8; 32],
-        height: u8,
-        coordinator: &CoordinatorKey,
-    ) -> Result<FeedKey, RsfError> {
-        let keypair =
-            Keypair::from_seed(seed, height).map_err(|_| RsfError::Wire("bad key params"))?;
-        let public = keypair.public();
-        let endorsement = coordinator.endorse(&public)?;
-        Ok(FeedKey {
-            keypair: Mutex::new(keypair),
-            public,
-            endorsement: Mutex::new(Endorsement::Single(endorsement)),
-        })
-    }
-
     /// Create a feed key endorsed by a k-of-n quorum.
     pub fn new_quorum(
         seed: [u8; 32],
@@ -124,15 +53,14 @@ impl FeedKey {
         Ok(FeedKey {
             keypair: Mutex::new(keypair),
             public,
-            endorsement: Mutex::new(Endorsement::Quorum(endorsement)),
+            endorsement: Mutex::new(endorsement),
         })
     }
 
     /// Refresh the endorsement after a quorum rotation: messages signed
     /// from here on carry a new-epoch endorsement.
     pub fn re_endorse(&self, authority: &QuorumAuthority) -> Result<(), RsfError> {
-        let endorsement = authority.sign(&endorse_bytes(&self.public))?;
-        *self.endorsement.lock().unwrap() = Endorsement::Quorum(endorsement);
+        *self.endorsement.lock().unwrap() = authority.sign(&endorse_bytes(&self.public))?;
         Ok(())
     }
 
@@ -153,12 +81,7 @@ impl FeedKey {
 
     /// Sign a feed message.
     pub fn sign(&self, kind: MessageKind, payload: &[u8]) -> Result<SignedMessage, RsfError> {
-        let signature = self
-            .keypair
-            .lock()
-            .unwrap()
-            .sign(&message_bytes(kind, payload))
-            .map_err(|_| RsfError::BadSignature("feed key exhausted"))?;
+        let signature = self.sign_raw(&message_bytes(kind, payload))?;
         Ok(SignedMessage {
             kind,
             payload: payload.to_vec(),
@@ -169,60 +92,39 @@ impl FeedKey {
     }
 }
 
-/// What a subscriber pins: the coordinating body behind the feed.
+/// What a subscriber pins: the k-of-n coordinating body behind the
+/// feed, advanced in place by [`FeedTrust::apply_rotation`].
 #[derive(Clone, Debug)]
-pub enum FeedTrust {
-    /// Legacy single-coordinator trust (deprecated ablation arm).
-    Single {
-        /// Trusted coordinator public key.
-        coordinator: PublicKey,
-    },
-    /// k-of-n quorum trust; advanced in place by
-    /// [`FeedTrust::apply_rotation`].
-    Quorum(QuorumTrust),
+pub struct FeedTrust {
+    quorum: QuorumTrust,
 }
 
 impl FeedTrust {
-    /// Pin a single coordinator key (ablation arm).
-    pub fn single(coordinator: PublicKey) -> FeedTrust {
-        FeedTrust::Single { coordinator }
-    }
-
     /// Pin a k-of-n quorum.
     pub fn quorum(trust: QuorumTrust) -> FeedTrust {
-        FeedTrust::Quorum(trust)
+        FeedTrust { quorum: trust }
     }
 
-    /// Verify an endorsement of `feed_key` under this trust. A
-    /// single-signer endorsement presented to a quorum subscriber (or
-    /// vice versa) is a scheme mismatch and rejected outright.
+    /// The pinned signer set, at its current epoch.
+    pub fn pinned(&self) -> &QuorumTrust {
+        &self.quorum
+    }
+
+    /// Verify the quorum's endorsement of `feed_key`.
     pub fn verify_endorsement(
         &self,
         feed_key: &PublicKey,
-        endorsement: &Endorsement,
+        endorsement: &QuorumSignature,
     ) -> Result<(), RsfError> {
-        match (self, endorsement) {
-            (FeedTrust::Single { coordinator }, Endorsement::Single(sig)) => {
-                hbs::verify(coordinator, &endorse_bytes(feed_key), sig)
-                    .map_err(|_| RsfError::BadSignature("feed key endorsement"))
-            }
-            (FeedTrust::Quorum(quorum), Endorsement::Quorum(sig)) => quorum
-                .verify(&endorse_bytes(feed_key), sig)
-                .map_err(|_| RsfError::BadSignature("feed key endorsement")),
-            _ => Err(RsfError::BadSignature("endorsement scheme mismatch")),
-        }
+        self.quorum
+            .verify(&endorse_bytes(feed_key), endorsement)
+            .map_err(|_| RsfError::BadSignature("feed key endorsement"))
     }
 
-    /// Apply a quorum rotation event (no-op error for the single-signer
-    /// arm, which has no rotation story — one more reason it is the
-    /// deprecated arm). Returns whether the trust actually advanced.
+    /// Apply a quorum rotation event. Returns whether the trust
+    /// actually advanced.
     pub fn apply_rotation(&mut self, event: &RotationEvent) -> Result<bool, RsfError> {
-        match self {
-            FeedTrust::Single { .. } => Err(RsfError::BadSignature(
-                "rotation event for single-signer feed",
-            )),
-            FeedTrust::Quorum(quorum) => quorum.apply_rotation(event),
-        }
+        self.quorum.apply_rotation(event)
     }
 }
 
@@ -256,8 +158,8 @@ pub struct SignedMessage {
     pub payload: Vec<u8>,
     /// The feed's public key.
     pub feed_key: PublicKey,
-    /// The coordinating body's endorsement of `feed_key`.
-    pub endorsement: Endorsement,
+    /// The coordinating body's quorum endorsement of `feed_key`.
+    pub endorsement: QuorumSignature,
     /// Feed signature over the payload.
     pub signature: Signature,
 }
@@ -275,29 +177,15 @@ impl SignedMessage {
         Ok(())
     }
 
-    /// Serialize the whole signed message (transport format).
-    ///
-    /// Single-signer messages keep the original `RSF1-SIGNED` frame
-    /// byte-for-byte (the ablation arm must stay wire-compatible);
-    /// quorum-endorsed messages use `RSF2-SIGNED`.
+    /// Serialize the whole signed message (the `RSF2-SIGNED` transport
+    /// frame).
     pub fn encode(&self) -> Vec<u8> {
         let mut w = Writer::new();
-        match &self.endorsement {
-            Endorsement::Single(sig) => {
-                w.put_str("RSF1-SIGNED");
-                w.put_u8(self.kind as u8);
-                w.put_bytes(&self.payload);
-                w.put_bytes(&self.feed_key.to_bytes());
-                w.put_bytes(&sig.to_bytes());
-            }
-            Endorsement::Quorum(sig) => {
-                w.put_str("RSF2-SIGNED");
-                w.put_u8(self.kind as u8);
-                w.put_bytes(&self.payload);
-                w.put_bytes(&self.feed_key.to_bytes());
-                w.put_bytes(&sig.encode());
-            }
-        }
+        w.put_str("RSF2-SIGNED");
+        w.put_u8(self.kind as u8);
+        w.put_bytes(&self.payload);
+        w.put_bytes(&self.feed_key.to_bytes());
+        w.put_bytes(&self.endorsement.encode());
         w.put_bytes(&self.signature.to_bytes());
         w.finish()
     }
@@ -305,27 +193,15 @@ impl SignedMessage {
     /// Parse a signed message (verification is separate).
     pub fn decode(bytes: &[u8]) -> Result<SignedMessage, RsfError> {
         let mut r = Reader::for_artifact(bytes, "signed-message");
-        let magic = r.field("magic").get_str()?;
-        let quorum = match magic {
-            "RSF1-SIGNED" => false,
-            "RSF2-SIGNED" => true,
-            _ => return Err(r.error("bad signed-message magic")),
-        };
+        if r.field("magic").get_str()? != "RSF2-SIGNED" {
+            return Err(r.error("bad signed-message magic"));
+        }
         let kind = MessageKind::from_u8(r.field("kind").get_u8()?)
             .ok_or_else(|| r.error("bad message kind"))?;
         let payload = r.field("payload").get_bytes()?.to_vec();
         let feed_key = PublicKey::from_bytes(r.field("feed key").get_bytes()?)
             .map_err(|_| r.error("bad feed key"))?;
-        let endorsement = if quorum {
-            Endorsement::Quorum(QuorumSignature::decode(
-                r.field("endorsement").get_bytes()?,
-            )?)
-        } else {
-            Endorsement::Single(
-                Signature::from_bytes(r.field("endorsement").get_bytes()?)
-                    .map_err(|_| r.error("bad endorsement"))?,
-            )
-        };
+        let endorsement = QuorumSignature::decode(r.field("endorsement").get_bytes()?)?;
         let signature = Signature::from_bytes(r.field("signature").get_bytes()?)
             .map_err(|_| r.error("bad signature"))?;
         r.expect_end()?;
@@ -342,17 +218,21 @@ impl SignedMessage {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::quorum::QuorumConfig;
 
-    fn setup() -> (CoordinatorKey, FeedKey, FeedTrust) {
-        let coordinator = CoordinatorKey::from_seed([1; 32], 4).unwrap();
-        let feed = FeedKey::new([2; 32], 6, &coordinator).unwrap();
-        let trust = FeedTrust::single(coordinator.public());
-        (coordinator, feed, trust)
+    fn authority(seed: u8) -> QuorumAuthority {
+        QuorumAuthority::from_seed([seed; 32], QuorumConfig { k: 2, n: 3 }, 2).unwrap()
+    }
+
+    fn setup() -> (FeedKey, FeedTrust) {
+        let authority = authority(1);
+        let feed = FeedKey::new_quorum([2; 32], 6, &authority).unwrap();
+        (feed, FeedTrust::quorum(authority.trust()))
     }
 
     #[test]
     fn sign_verify_roundtrip() {
-        let (_c, feed, trust) = setup();
+        let (feed, trust) = setup();
         let msg = feed.sign(MessageKind::Snapshot, b"payload").unwrap();
         msg.verify(&trust).unwrap();
         let decoded = SignedMessage::decode(&msg.encode()).unwrap();
@@ -363,7 +243,7 @@ mod tests {
 
     #[test]
     fn tampered_payload_rejected() {
-        let (_c, feed, trust) = setup();
+        let (feed, trust) = setup();
         let mut msg = feed.sign(MessageKind::Delta, b"original").unwrap();
         msg.payload = b"tampered".to_vec();
         assert!(matches!(
@@ -375,7 +255,7 @@ mod tests {
     #[test]
     fn kind_confusion_rejected() {
         // A snapshot signature must not validate as a delta (domain sep).
-        let (_c, feed, trust) = setup();
+        let (feed, trust) = setup();
         let mut msg = feed.sign(MessageKind::Snapshot, b"payload").unwrap();
         msg.kind = MessageKind::Delta;
         assert!(msg.verify(&trust).is_err());
@@ -383,10 +263,9 @@ mod tests {
 
     #[test]
     fn unendorsed_feed_key_rejected() {
-        let (_c, _feed, trust) = setup();
-        // A rogue feed with a *different* coordinator.
-        let rogue_coord = CoordinatorKey::from_seed([9; 32], 4).unwrap();
-        let rogue_feed = FeedKey::new([10; 32], 4, &rogue_coord).unwrap();
+        let (_feed, trust) = setup();
+        // A rogue feed endorsed by a *different* quorum.
+        let rogue_feed = FeedKey::new_quorum([10; 32], 4, &authority(9)).unwrap();
         let msg = rogue_feed.sign(MessageKind::Snapshot, b"evil").unwrap();
         assert!(matches!(
             msg.verify(&trust),
@@ -397,10 +276,10 @@ mod tests {
     #[test]
     fn endorsement_swap_rejected() {
         // Signature by feed B, endorsement of feed A: must fail.
-        let coordinator = CoordinatorKey::from_seed([1; 32], 4).unwrap();
-        let feed_a = FeedKey::new([2; 32], 4, &coordinator).unwrap();
-        let feed_b = FeedKey::new([3; 32], 4, &coordinator).unwrap();
-        let trust = FeedTrust::single(coordinator.public());
+        let authority = authority(1);
+        let feed_a = FeedKey::new_quorum([2; 32], 4, &authority).unwrap();
+        let feed_b = FeedKey::new_quorum([3; 32], 4, &authority).unwrap();
+        let trust = FeedTrust::quorum(authority.trust());
         let msg_a = feed_a.sign(MessageKind::Snapshot, b"x").unwrap();
         let msg_b = feed_b.sign(MessageKind::Snapshot, b"x").unwrap();
         let mut frankenstein = msg_b.clone();
@@ -415,7 +294,7 @@ mod tests {
     fn decode_rejects_garbage() {
         assert!(SignedMessage::decode(b"").is_err());
         assert!(SignedMessage::decode(b"RSFX").is_err());
-        let (_c, feed, _t) = setup();
+        let (feed, _t) = setup();
         let mut bytes = feed.sign(MessageKind::Snapshot, b"p").unwrap().encode();
         bytes.truncate(bytes.len() - 3);
         assert!(SignedMessage::decode(&bytes).is_err());

@@ -563,7 +563,8 @@ fn roundtrip(stream: &mut UnixStream, request: &[u8]) -> Result<Vec<u8>, RsfErro
 mod tests {
     use super::*;
     use crate::clock::Clock;
-    use crate::signing::{CoordinatorKey, FeedKey, FeedTrust};
+    use crate::quorum::{QuorumAuthority, QuorumConfig};
+    use crate::signing::{FeedKey, FeedTrust};
     use nrslb_rootstore::{RootStore, TrustStatus};
     use nrslb_x509::testutil::simple_chain;
 
@@ -571,14 +572,18 @@ mod tests {
         std::env::temp_dir().join(format!("nrslb-rsf-{tag}-{}.sock", std::process::id()))
     }
 
+    fn authority(seed: u8) -> QuorumAuthority {
+        QuorumAuthority::from_seed([seed; 32], QuorumConfig { k: 2, n: 3 }, 4).unwrap()
+    }
+
     fn fresh_publisher(tag: &str) -> (Arc<Mutex<FeedPublisher>>, FeedTrust, RootStore) {
-        let coordinator = CoordinatorKey::from_seed([1; 32], 4).unwrap();
-        let key = FeedKey::new([2; 32], 8, &coordinator).unwrap();
-        let trust = FeedTrust::single(coordinator.public());
+        let authority = authority(1);
+        let key = FeedKey::new_quorum([2; 32], 8, &authority).unwrap();
+        let trust = FeedTrust::quorum(authority.trust());
         let pki = simple_chain(&format!("sock-{tag}.example"));
         let mut store = RootStore::new("nss");
         store.add_trusted(pki.root.clone()).unwrap();
-        let publisher = FeedPublisher::new("nss", key, &store, 0).unwrap();
+        let publisher = FeedPublisher::new_quorum("nss", key, authority, &store, 0).unwrap();
         (Arc::new(Mutex::new(publisher)), trust, store)
     }
 
@@ -656,11 +661,11 @@ mod tests {
     #[test]
     fn wrong_coordinator_rejected_over_node() {
         let (node, _subscriber, _store) = setup_node("node-forge");
-        let other = CoordinatorKey::from_seed([9; 32], 4).unwrap();
+        let other = FeedTrust::quorum(authority(9).trust());
         // A virtual clock turns the retry backoff into instant,
         // deterministic time-advancement: no real sleeping in the test.
         let clock = crate::clock::VirtualClock::shared(0);
-        let mut victim = Subscriber::builder("victim", FeedTrust::single(other.public()))
+        let mut victim = Subscriber::builder("victim", other)
             .policy(crate::sync::SyncPolicy {
                 base_backoff_ms: 1_000,
                 max_backoff_ms: 2_000,

@@ -30,7 +30,7 @@ use crate::feed::{Delta, Snapshot};
 use crate::quorum::RotationEvent;
 use crate::signing::{FeedTrust, MessageKind, SignedMessage};
 use crate::taint::TaintSet;
-use crate::translog::{verify_extension_trusted, Checkpoint};
+use crate::translog::{verify_extension, Checkpoint};
 use crate::transport::{FaultInjector, FeedPublisher, SyncReport};
 use crate::RsfError;
 use nrslb_crypto::hbs::PublicKey;
@@ -609,7 +609,7 @@ impl Subscriber {
         key: &PublicKey,
         trust: &FeedTrust,
     ) -> Result<(), RsfError> {
-        match verify_extension_trusted(old, new, proof, key, trust) {
+        match verify_extension(old, new, proof, key, trust) {
             Err(RsfError::SplitView(reason)) => {
                 self.quarantine(reason);
                 Err(RsfError::SplitView(reason))
@@ -874,10 +874,10 @@ impl Subscriber {
             // Nothing new to fetch. Rotation events are appended in
             // epoch order, so comparing the last one against the
             // pinned epoch tells us whether any ceremony is pending.
-            let rotations_pending = match (&self.trust, publisher.rotations().last()) {
-                (FeedTrust::Quorum(quorum), Some(last)) => last.to_epoch > quorum.epoch,
-                _ => false,
-            };
+            let rotations_pending = publisher
+                .rotations()
+                .last()
+                .is_some_and(|last| last.to_epoch > self.trust.pinned().epoch);
             let warm = !rotations_pending && {
                 let checkpoint = publisher.checkpoint_ref()?;
                 self.pinned

@@ -36,83 +36,40 @@ pub struct Checkpoint {
     pub root: Digest,
     /// Feed-key signature over `(size, root)`.
     pub signature: Signature,
-    /// Optional quorum co-signature ("witness") over the same bytes.
-    /// Quorum-governed feeds require it: a checkpoint carrying fewer
-    /// than `k` valid partials — or none — is rejected outright, so a
-    /// compromised feed key alone cannot commit a forged history.
-    pub witness: Option<QuorumSignature>,
+    /// The quorum's co-signature ("witness") over the same bytes. A
+    /// checkpoint whose witness carries fewer than `k` valid partials
+    /// is rejected outright, so a compromised feed key alone cannot
+    /// commit a forged history.
+    pub witness: QuorumSignature,
 }
 
 impl Checkpoint {
-    /// Verify the feed-key signature only (the single-signer ablation
-    /// arm; quorum deployments go through
-    /// [`Checkpoint::verify_with_trust`]).
-    pub fn verify(&self, feed_key: &PublicKey) -> Result<(), RsfError> {
-        hbs::verify(
-            feed_key,
-            &checkpoint_bytes(self.size, &self.root),
-            &self.signature,
-        )
-        .map_err(|_| RsfError::BadSignature("checkpoint signature"))
-    }
-
     /// Verify under the pinned coordinating body: the feed-key
-    /// signature always, plus — for quorum trust — a present and valid
-    /// k-of-n witness at the current epoch.
-    pub fn verify_with_trust(
-        &self,
-        feed_key: &PublicKey,
-        trust: &FeedTrust,
-    ) -> Result<(), RsfError> {
-        self.verify(feed_key)?;
-        match trust {
-            FeedTrust::Single { .. } => Ok(()),
-            FeedTrust::Quorum(quorum) => {
-                let witness = self
-                    .witness
-                    .as_ref()
-                    .ok_or(RsfError::BadSignature("checkpoint missing quorum witness"))?;
-                quorum
-                    .verify(&checkpoint_bytes(self.size, &self.root), witness)
-                    .map_err(|e| match e {
-                        RsfError::BadSignature(w) => RsfError::BadSignature(w),
-                        other => other,
-                    })
-            }
-        }
+    /// signature, then a valid k-of-n witness at the current epoch.
+    pub fn verify(&self, feed_key: &PublicKey, trust: &FeedTrust) -> Result<(), RsfError> {
+        let signed = checkpoint_bytes(self.size, &self.root);
+        hbs::verify(feed_key, &signed, &self.signature)
+            .map_err(|_| RsfError::BadSignature("checkpoint signature"))?;
+        trust.pinned().verify(&signed, &self.witness)
     }
 
-    /// Serialize (for storage or transports). Unwitnessed checkpoints
-    /// keep the original `RSF1-CKPT` frame byte-for-byte; witnessed
-    /// ones use `RSF2-CKPT`.
+    /// Serialize (the `RSF2-CKPT` frame, for storage or transports).
     pub fn encode(&self) -> Vec<u8> {
         let mut w = Writer::new();
-        match &self.witness {
-            None => {
-                w.put_str("RSF1-CKPT");
-                w.put_u64(self.size);
-                w.put_bytes(self.root.as_bytes());
-                w.put_bytes(&self.signature.to_bytes());
-            }
-            Some(witness) => {
-                w.put_str("RSF2-CKPT");
-                w.put_u64(self.size);
-                w.put_bytes(self.root.as_bytes());
-                w.put_bytes(&self.signature.to_bytes());
-                w.put_bytes(&witness.encode());
-            }
-        }
+        w.put_str("RSF2-CKPT");
+        w.put_u64(self.size);
+        w.put_bytes(self.root.as_bytes());
+        w.put_bytes(&self.signature.to_bytes());
+        w.put_bytes(&self.witness.encode());
         w.finish()
     }
 
     /// Parse a serialized checkpoint.
     pub fn decode(bytes: &[u8]) -> Result<Checkpoint, RsfError> {
         let mut r = Reader::for_artifact(bytes, "checkpoint");
-        let witnessed = match r.field("magic").get_str()? {
-            "RSF1-CKPT" => false,
-            "RSF2-CKPT" => true,
-            _ => return Err(r.error("bad checkpoint magic")),
-        };
+        if r.field("magic").get_str()? != "RSF2-CKPT" {
+            return Err(r.error("bad checkpoint magic"));
+        }
         let size = r.field("size").get_u64()?;
         let root_bytes: [u8; 32] = r
             .field("root")
@@ -121,11 +78,7 @@ impl Checkpoint {
             .map_err(|_| r.error("bad checkpoint root"))?;
         let signature = Signature::from_bytes(r.field("signature").get_bytes()?)
             .map_err(|_| r.error("bad checkpoint signature"))?;
-        let witness = if witnessed {
-            Some(QuorumSignature::decode(r.field("witness").get_bytes()?)?)
-        } else {
-            None
-        };
+        let witness = QuorumSignature::decode(r.field("witness").get_bytes()?)?;
         r.expect_end()?;
         Ok(Checkpoint {
             size,
@@ -171,34 +124,25 @@ impl TransparencyLog {
         self.tree.push(&event.encode())
     }
 
-    /// Sign the current head with the feed key. The root is computed on
-    /// the parallel Merkle path (bit-identical to the sequential one);
-    /// publish-time checkpoints hash the whole log, which for a busy
-    /// feed is the dominant publishing cost.
-    pub fn checkpoint(&self, key: &FeedKey) -> Result<Checkpoint, RsfError> {
-        let size = self.tree.len();
-        let root = self.tree.root_parallel();
-        let signature = key.sign_raw(&checkpoint_bytes(size, &root))?;
-        Ok(Checkpoint {
-            size,
-            root,
-            signature,
-            witness: None,
-        })
-    }
-
-    /// Sign the current head with the feed key *and* have the quorum
-    /// witness it. Quorum subscribers reject unwitnessed (or
-    /// sub-quorum-witnessed) checkpoints.
-    pub fn checkpoint_witnessed(
+    /// Sign the current head with the feed key and have the quorum
+    /// witness it. The root is computed on the parallel Merkle path
+    /// (bit-identical to the sequential one); publish-time checkpoints
+    /// hash the whole log, which for a busy feed is the dominant
+    /// publishing cost.
+    pub fn checkpoint(
         &self,
         key: &FeedKey,
         authority: &QuorumAuthority,
     ) -> Result<Checkpoint, RsfError> {
-        let mut ckpt = self.checkpoint(key)?;
-        let witness = authority.sign(&checkpoint_bytes(ckpt.size, &ckpt.root))?;
-        ckpt.witness = Some(witness);
-        Ok(ckpt)
+        let size = self.tree.len();
+        let root = self.tree.root_parallel();
+        let signed = checkpoint_bytes(size, &root);
+        Ok(Checkpoint {
+            size,
+            root,
+            signature: key.sign_raw(&signed)?,
+            witness: authority.sign(&signed)?,
+        })
     }
 
     /// Consistency proof between two checkpoint sizes.
@@ -207,16 +151,17 @@ impl TransparencyLog {
     }
 }
 
-/// Subscriber-side verification: the new checkpoint extends the old one.
+/// Subscriber-side verification: the new checkpoint is signed and
+/// quorum-witnessed under the pinned trust, and extends the old one.
 ///
 /// `old` of `None` means this is the subscriber's first poll; only the
-/// signature is checked and the checkpoint is pinned.
+/// signature and witness are checked and the checkpoint is pinned.
 ///
 /// Failures split into two classes: [`RsfError::BadSignature`] (the
-/// checkpoint is not even validly signed — possibly transport
-/// corruption, worth a retry) and [`RsfError::SplitView`] (the
-/// checkpoint is *correctly signed* but inconsistent with the pinned
-/// history — rollback, fork at the same size, or an unprovable
+/// checkpoint is not even validly signed and witnessed — possibly
+/// transport corruption, worth a retry) and [`RsfError::SplitView`]
+/// (the checkpoint is *correctly signed* but inconsistent with the
+/// pinned history — rollback, fork at the same size, or an unprovable
 /// extension). Split-view evidence is proof of publisher misbehaviour
 /// and should quarantine the feed, which is exactly what
 /// [`crate::sync::Subscriber`] does.
@@ -225,30 +170,9 @@ pub fn verify_extension(
     new: &Checkpoint,
     proof: Option<&ConsistencyProof>,
     feed_key: &PublicKey,
-) -> Result<(), RsfError> {
-    new.verify(feed_key)?;
-    verify_history(old, new, proof)
-}
-
-/// Trust-aware variant of [`verify_extension`]: under quorum trust the
-/// new checkpoint must also carry a valid k-of-n witness at the current
-/// epoch before any history reasoning happens.
-pub fn verify_extension_trusted(
-    old: Option<&Checkpoint>,
-    new: &Checkpoint,
-    proof: Option<&ConsistencyProof>,
-    feed_key: &PublicKey,
     trust: &FeedTrust,
 ) -> Result<(), RsfError> {
-    new.verify_with_trust(feed_key, trust)?;
-    verify_history(old, new, proof)
-}
-
-fn verify_history(
-    old: Option<&Checkpoint>,
-    new: &Checkpoint,
-    proof: Option<&ConsistencyProof>,
-) -> Result<(), RsfError> {
+    new.verify(feed_key, trust)?;
     let Some(old) = old else { return Ok(()) };
     if new.size < old.size {
         return Err(RsfError::SplitView("checkpoint rollback"));
@@ -274,111 +198,132 @@ fn verify_history(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::signing::{CoordinatorKey, MessageKind};
+    use crate::quorum::QuorumConfig;
+    use crate::signing::MessageKind;
 
-    fn feed_key() -> FeedKey {
-        let coordinator = CoordinatorKey::from_seed([1; 32], 4).unwrap();
-        FeedKey::new([2; 32], 8, &coordinator).unwrap()
+    /// A quorum, the feed key it endorses, and the trust pinning it.
+    struct Feed {
+        authority: QuorumAuthority,
+        key: FeedKey,
+        trust: FeedTrust,
     }
 
-    fn msg(key: &FeedKey, payload: &[u8]) -> SignedMessage {
-        key.sign(MessageKind::Delta, payload).unwrap()
+    fn feed(seed: u8) -> Feed {
+        let authority =
+            QuorumAuthority::from_seed([seed; 32], QuorumConfig { k: 2, n: 3 }, 3).unwrap();
+        let key = FeedKey::new_quorum([seed + 1; 32], 8, &authority).unwrap();
+        let trust = FeedTrust::quorum(authority.trust());
+        Feed {
+            authority,
+            key,
+            trust,
+        }
+    }
+
+    impl Feed {
+        fn msg(&self, payload: &[u8]) -> SignedMessage {
+            self.key.sign(MessageKind::Delta, payload).unwrap()
+        }
+
+        fn log(&self, payloads: &[&[u8]]) -> TransparencyLog {
+            let mut log = TransparencyLog::new();
+            for p in payloads {
+                log.append(&self.msg(p));
+            }
+            log
+        }
+
+        fn checkpoint(&self, log: &TransparencyLog) -> Checkpoint {
+            log.checkpoint(&self.key, &self.authority).unwrap()
+        }
+
+        fn extends(
+            &self,
+            old: Option<&Checkpoint>,
+            new: &Checkpoint,
+            proof: Option<&ConsistencyProof>,
+        ) -> Result<(), RsfError> {
+            verify_extension(old, new, proof, &self.key.public(), &self.trust)
+        }
     }
 
     #[test]
     fn honest_history_verifies() {
-        let key = feed_key();
-        let mut log = TransparencyLog::new();
-        log.append(&msg(&key, b"m1"));
-        log.append(&msg(&key, b"m2"));
-        let ckpt1 = log.checkpoint(&key).unwrap();
-        verify_extension(None, &ckpt1, None, &key.public()).unwrap();
+        let f = feed(1);
+        let mut log = f.log(&[b"m1", b"m2"]);
+        let ckpt1 = f.checkpoint(&log);
+        f.extends(None, &ckpt1, None).unwrap();
 
-        log.append(&msg(&key, b"m3"));
-        let ckpt2 = log.checkpoint(&key).unwrap();
+        log.append(&f.msg(b"m3"));
+        let ckpt2 = f.checkpoint(&log);
         let proof = log.prove_consistency(ckpt1.size, ckpt2.size).unwrap();
-        verify_extension(Some(&ckpt1), &ckpt2, Some(&proof), &key.public()).unwrap();
+        f.extends(Some(&ckpt1), &ckpt2, Some(&proof)).unwrap();
     }
 
     #[test]
     fn rewritten_history_detected() {
-        let key = feed_key();
-        let mut log = TransparencyLog::new();
-        log.append(&msg(&key, b"m1"));
-        log.append(&msg(&key, b"m2"));
-        let ckpt1 = log.checkpoint(&key).unwrap();
-
+        let f = feed(1);
+        let ckpt1 = f.checkpoint(&f.log(&[b"m1", b"m2"]));
         // The publisher "rewrites" history: a fresh log with different
         // contents, grown past the old size.
-        let mut forked = TransparencyLog::new();
-        forked.append(&msg(&key, b"evil1"));
-        forked.append(&msg(&key, b"evil2"));
-        forked.append(&msg(&key, b"evil3"));
-        let ckpt2 = forked.checkpoint(&key).unwrap();
+        let forked = f.log(&[b"evil1", b"evil2", b"evil3"]);
+        let ckpt2 = f.checkpoint(&forked);
         let proof = forked.prove_consistency(ckpt1.size, ckpt2.size).unwrap();
-        let err = verify_extension(Some(&ckpt1), &ckpt2, Some(&proof), &key.public());
         assert!(matches!(
-            err,
+            f.extends(Some(&ckpt1), &ckpt2, Some(&proof)),
             Err(RsfError::SplitView("feed history rewritten"))
         ));
     }
 
     #[test]
     fn rollback_detected() {
-        let key = feed_key();
-        let mut log = TransparencyLog::new();
-        log.append(&msg(&key, b"m1"));
-        log.append(&msg(&key, b"m2"));
-        let ckpt_big = log.checkpoint(&key).unwrap();
-        let mut small = TransparencyLog::new();
-        small.append(&msg(&key, b"m1"));
-        let ckpt_small = small.checkpoint(&key).unwrap();
-        let err = verify_extension(Some(&ckpt_big), &ckpt_small, None, &key.public());
+        let f = feed(1);
+        let ckpt_big = f.checkpoint(&f.log(&[b"m1", b"m2"]));
+        let ckpt_small = f.checkpoint(&f.log(&[b"m1"]));
         assert!(matches!(
-            err,
+            f.extends(Some(&ckpt_big), &ckpt_small, None),
             Err(RsfError::SplitView("checkpoint rollback"))
         ));
     }
 
     #[test]
     fn fork_at_same_size_detected() {
-        let key = feed_key();
-        let mut a = TransparencyLog::new();
-        a.append(&msg(&key, b"m1"));
-        let mut b = TransparencyLog::new();
-        b.append(&msg(&key, b"other"));
-        let ca = a.checkpoint(&key).unwrap();
-        let cb = b.checkpoint(&key).unwrap();
-        let err = verify_extension(Some(&ca), &cb, None, &key.public());
+        let f = feed(1);
+        let ca = f.checkpoint(&f.log(&[b"m1"]));
+        let cb = f.checkpoint(&f.log(&[b"other"]));
         assert!(matches!(
-            err,
+            f.extends(Some(&ca), &cb, None),
             Err(RsfError::SplitView("checkpoint fork at same size"))
         ));
     }
 
     #[test]
     fn checkpoint_encoding_roundtrip() {
-        let key = feed_key();
-        let mut log = TransparencyLog::new();
-        log.append(&msg(&key, b"m1"));
-        let ckpt = log.checkpoint(&key).unwrap();
+        let f = feed(1);
+        let ckpt = f.checkpoint(&f.log(&[b"m1"]));
         let back = Checkpoint::decode(&ckpt.encode()).unwrap();
-        assert_eq!(back.size, ckpt.size);
-        assert_eq!(back.root, ckpt.root);
-        back.verify(&key.public()).unwrap();
+        assert_eq!(back.encode(), ckpt.encode());
+        back.verify(&f.key.public(), &f.trust).unwrap();
         assert!(Checkpoint::decode(b"garbage").is_err());
     }
 
     #[test]
     fn forged_checkpoint_rejected() {
-        let key = feed_key();
-        let other = feed_key(); // same seeds -> same key; use different
-        let coordinator = CoordinatorKey::from_seed([9; 32], 4).unwrap();
-        let rogue = FeedKey::new([10; 32], 4, &coordinator).unwrap();
-        let mut log = TransparencyLog::new();
-        log.append(&msg(&key, b"m1"));
-        let ckpt = log.checkpoint(&rogue).unwrap();
-        assert!(ckpt.verify(&key.public()).is_err());
-        let _ = other;
+        let f = feed(1);
+        let rogue = feed(9);
+        let log = f.log(&[b"m1"]);
+        // Signed by a rogue feed key: the feed-key check fails.
+        let ckpt = rogue.checkpoint(&log);
+        assert!(matches!(
+            ckpt.verify(&f.key.public(), &f.trust),
+            Err(RsfError::BadSignature("checkpoint signature"))
+        ));
+        // Signed by the real feed key but witnessed by a rogue quorum.
+        let mut ckpt = f.checkpoint(&log);
+        ckpt.witness = rogue.checkpoint(&log).witness;
+        assert!(matches!(
+            ckpt.verify(&f.key.public(), &f.trust),
+            Err(RsfError::BadSignature("invalid quorum partial"))
+        ));
     }
 }

@@ -24,7 +24,9 @@ pub struct FeedPublisher {
     /// State as of the latest published message.
     published_store: RootStore,
     sequence: u64,
-    /// Signed deltas, indexed by `to_sequence` (log[i].to = base + i + 1).
+    /// Signed deltas, contiguous and ending at `sequence`: `deltas[i]`
+    /// runs from `base + i` to `base + i + 1`, where
+    /// `base = sequence - deltas.len()`.
     deltas: Vec<SignedMessage>,
     /// The most recent full snapshot (always available for bootstrap).
     snapshot: SignedMessage,
@@ -34,9 +36,9 @@ pub struct FeedPublisher {
     /// one-time signatures.
     translog: TransparencyLog,
     cached_checkpoint: Option<Checkpoint>,
-    /// The k-of-n coordinating body, when this feed is quorum-governed
-    /// (`None` = single-signer ablation arm).
-    authority: Option<QuorumAuthority>,
+    /// The k-of-n coordinating body: it endorsed the feed key and
+    /// witnesses every checkpoint.
+    authority: QuorumAuthority,
     /// Every rotation ceremony this feed has run, oldest first.
     /// Retained forever and served on every fetch — subscribers apply
     /// them idempotently, so redelivery is free.
@@ -44,33 +46,14 @@ pub struct FeedPublisher {
 }
 
 impl FeedPublisher {
-    /// Create a feed publishing `initial` as snapshot sequence 1.
-    pub fn new(
-        name: &str,
-        key: FeedKey,
-        initial: &RootStore,
-        now: i64,
-    ) -> Result<FeedPublisher, RsfError> {
-        FeedPublisher::build(name, key, None, initial, now)
-    }
-
-    /// Create a quorum-governed feed: the feed key must already carry a
-    /// quorum endorsement (see [`FeedKey::new_quorum`]) and every
-    /// checkpoint is witnessed by `authority`.
+    /// Create a feed publishing `initial` as snapshot sequence 1. The
+    /// feed key must already carry a quorum endorsement (see
+    /// [`FeedKey::new_quorum`]) and every checkpoint is witnessed by
+    /// `authority`.
     pub fn new_quorum(
         name: &str,
         key: FeedKey,
         authority: QuorumAuthority,
-        initial: &RootStore,
-        now: i64,
-    ) -> Result<FeedPublisher, RsfError> {
-        FeedPublisher::build(name, key, Some(authority), initial, now)
-    }
-
-    fn build(
-        name: &str,
-        key: FeedKey,
-        authority: Option<QuorumAuthority>,
         initial: &RootStore,
         now: i64,
     ) -> Result<FeedPublisher, RsfError> {
@@ -163,10 +146,7 @@ impl FeedPublisher {
             .as_ref()
             .is_none_or(|c| c.size != current)
         {
-            self.cached_checkpoint = Some(match &self.authority {
-                Some(authority) => self.translog.checkpoint_witnessed(&self.key, authority)?,
-                None => self.translog.checkpoint(&self.key)?,
-            });
+            self.cached_checkpoint = Some(self.translog.checkpoint(&self.key, &self.authority)?);
         }
         Ok(self.cached_checkpoint.as_ref().expect("just cached"))
     }
@@ -176,7 +156,7 @@ impl FeedPublisher {
         &self.rotations
     }
 
-    /// Run a share-rotation ceremony on a quorum-governed feed:
+    /// Run a share-rotation ceremony:
     /// recover the master from `k` shares, derive the next epoch's
     /// signer set, record the outgoing quorum's approval in the
     /// transparency log, re-endorse the feed key at the new epoch, and
@@ -185,15 +165,10 @@ impl FeedPublisher {
     /// ordinary snapshot-fallback path). The feed sequence does not
     /// advance — rotation changes who vouches, not what is vouched for.
     pub fn rotate(&mut self, now: i64) -> Result<&RotationEvent, RsfError> {
-        let authority = self
-            .authority
-            .as_mut()
-            .ok_or(RsfError::Wire("single-signer feed cannot rotate"))?;
-        let event = authority.rotate(now)?;
+        let event = self.authority.rotate(now)?;
         self.translog.append_rotation(&event);
         self.rotations.push(event);
-        let authority = self.authority.as_ref().expect("still quorum-governed");
-        self.key.re_endorse(authority)?;
+        self.key.re_endorse(&self.authority)?;
         self.publish_snapshot(now)?;
         self.prune();
         Ok(self.rotations.last().expect("just pushed"))
@@ -205,13 +180,16 @@ impl FeedPublisher {
             .prove_consistency(old_size, self.translog.len())
     }
 
+    /// The sequence the oldest retained delta starts from (the deltas
+    /// are contiguous and end at the current sequence).
+    fn delta_base(&self) -> u64 {
+        self.sequence - self.deltas.len() as u64
+    }
+
     /// Drop deltas at or below the latest snapshot's sequence.
     pub fn prune(&mut self) {
-        let base = self.snapshot_sequence;
-        self.deltas.retain(|m| {
-            let delta = Delta::decode(&m.payload).expect("own log is well-formed");
-            delta.to_sequence > base
-        });
+        let stale = self.snapshot_sequence.saturating_sub(self.delta_base());
+        self.deltas.drain(..stale as usize);
     }
 
     /// What a subscriber at `have_sequence` should fetch: either the
@@ -221,30 +199,19 @@ impl FeedPublisher {
         if have_sequence == self.sequence {
             return Vec::new();
         }
-        // Deltas strictly after `have_sequence`, if the log reaches back.
-        let wanted: Vec<&SignedMessage> = self
-            .deltas
-            .iter()
-            .filter(|m| {
-                let d = Delta::decode(&m.payload).expect("own log is well-formed");
-                d.to_sequence > have_sequence
-            })
-            .collect();
-        let contiguous = wanted.first().map(|m| {
-            let d = Delta::decode(&m.payload).expect("own log");
-            d.from_sequence <= have_sequence
-        });
-        if have_sequence > 0 && contiguous == Some(true) {
-            wanted
-        } else {
-            // Bootstrap or gap: snapshot, then deltas after it.
-            let mut out = vec![&self.snapshot];
-            out.extend(self.deltas.iter().filter(|m| {
-                let d = Delta::decode(&m.payload).expect("own log");
-                d.from_sequence >= self.snapshot_sequence
-            }));
-            out
+        // The base is at least 1, so a bootstrapping subscriber (at 0)
+        // never takes the delta path.
+        let base = self.delta_base();
+        if (base..self.sequence).contains(&have_sequence) {
+            return self.deltas[(have_sequence - base) as usize..]
+                .iter()
+                .collect();
         }
+        // Bootstrap or gap: snapshot, then deltas after it.
+        let after_snapshot = self.snapshot_sequence.saturating_sub(base) as usize;
+        std::iter::once(&self.snapshot)
+            .chain(&self.deltas[after_snapshot..])
+            .collect()
     }
 }
 
@@ -383,18 +350,85 @@ impl FaultInjector {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::signing::{CoordinatorKey, FeedTrust};
+    use crate::quorum::QuorumConfig;
+    use crate::signing::FeedTrust;
     use crate::sync::Subscriber;
+    use nrslb_crypto::sha256::sha256;
     use nrslb_rootstore::TrustStatus;
     use nrslb_x509::testutil::simple_chain;
 
+    fn authority(seed: u8) -> QuorumAuthority {
+        QuorumAuthority::from_seed([seed; 32], QuorumConfig { k: 2, n: 3 }, 4).unwrap()
+    }
+
     fn setup(initial: &RootStore) -> (FeedPublisher, Subscriber) {
-        let coordinator = CoordinatorKey::from_seed([1; 32], 4).unwrap();
-        let key = FeedKey::new([2; 32], 8, &coordinator).unwrap();
-        let trust = FeedTrust::single(coordinator.public());
-        let publisher = FeedPublisher::new("nss", key, initial, 0).unwrap();
+        let authority = authority(1);
+        let key = FeedKey::new_quorum([2; 32], 8, &authority).unwrap();
+        let trust = FeedTrust::quorum(authority.trust());
+        let publisher = FeedPublisher::new_quorum("nss", key, authority, initial, 0).unwrap();
         let subscriber = Subscriber::builder("debian", trust).build();
         (publisher, subscriber)
+    }
+
+    /// The decode-based rule [`FeedPublisher::fetch`] replaced, kept as
+    /// its reference: it reads each delta's sequence numbers from its
+    /// payload instead of from its position.
+    fn fetch_by_decoding(p: &FeedPublisher, have_sequence: u64) -> Vec<&SignedMessage> {
+        let decode = |m: &SignedMessage| Delta::decode(&m.payload).expect("own log");
+        if have_sequence == p.sequence {
+            return Vec::new();
+        }
+        let wanted: Vec<&SignedMessage> = p
+            .deltas
+            .iter()
+            .filter(|m| decode(m).to_sequence > have_sequence)
+            .collect();
+        let contiguous = wanted
+            .first()
+            .map(|m| decode(m).from_sequence <= have_sequence);
+        if have_sequence > 0 && contiguous == Some(true) {
+            wanted
+        } else {
+            let mut out = vec![&p.snapshot];
+            out.extend(
+                p.deltas
+                    .iter()
+                    .filter(|m| decode(m).from_sequence >= p.snapshot_sequence),
+            );
+            out
+        }
+    }
+
+    #[test]
+    fn fetch_by_position_matches_fetch_by_decoding() {
+        let mut store = RootStore::new("nss");
+        store
+            .add_trusted(simple_chain("feed-pos.example").root)
+            .unwrap();
+        let (mut publisher, _) = setup(&store);
+        let mut rng = StdRng::seed_from_u64(0x5eed);
+        for step in 0..60i64 {
+            match rng.gen_range(0..6) {
+                0 => publisher.publish_snapshot(step).unwrap(),
+                1 => publisher.prune(),
+                _ => {
+                    store.distrust(sha256(step.to_le_bytes()), "incident");
+                    assert!(publisher.publish(&store, step).unwrap());
+                }
+            }
+            for have in 0..=publisher.sequence() + 1 {
+                let by_position: Vec<*const SignedMessage> = publisher
+                    .fetch(have)
+                    .into_iter()
+                    .map(|m| m as *const _)
+                    .collect();
+                let by_decoding: Vec<*const SignedMessage> = fetch_by_decoding(&publisher, have)
+                    .into_iter()
+                    .map(|m| m as *const _)
+                    .collect();
+                assert_eq!(by_position, by_decoding, "step {step}, have {have}");
+            }
+        }
     }
 
     #[test]
@@ -512,10 +546,9 @@ mod tests {
         store.add_trusted(a.root.clone()).unwrap();
         let (mut publisher, _) = setup(&store);
 
-        // Subscriber trusting a different coordinator.
-        let other_coord = CoordinatorKey::from_seed([7; 32], 4).unwrap();
-        let mut victim =
-            Subscriber::builder("victim", FeedTrust::single(other_coord.public())).build();
+        // Subscriber trusting a different quorum.
+        let other = FeedTrust::quorum(authority(7).trust());
+        let mut victim = Subscriber::builder("victim", other).build();
         let err = victim.sync(&mut publisher, 0);
         assert!(matches!(err, Err(RsfError::BadSignature(_))));
         assert_eq!(victim.sequence(), 0);

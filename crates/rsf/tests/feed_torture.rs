@@ -8,7 +8,7 @@
 //! path, and every gauge returns to zero after the subscribers hang up.
 
 use nrslb_rootstore::RootStore;
-use nrslb_rsf::{CoordinatorKey, FeedDistributionNode, FeedKey, FeedPublisher};
+use nrslb_rsf::{FeedDistributionNode, FeedKey, FeedPublisher, QuorumAuthority, QuorumConfig};
 use nrslb_x509::testutil::simple_chain;
 use rand::prelude::*;
 use std::io::{Read, Write};
@@ -21,6 +21,16 @@ const CLIENTS: usize = 512;
 const POLLS_PER_CLIENT: usize = 4;
 const LOOPS: usize = 2;
 const WORKERS: usize = 2;
+
+/// A 2-of-3 quorum-governed publisher of `store`. The feed never
+/// publishes, so each signer signs only the endorsement and the one
+/// checkpoint.
+fn publisher(seed: u8, store: &RootStore) -> Arc<Mutex<FeedPublisher>> {
+    let authority = QuorumAuthority::from_seed([seed; 32], QuorumConfig { k: 2, n: 3 }, 2).unwrap();
+    let key = FeedKey::new_quorum([seed + 1; 32], 4, &authority).unwrap();
+    let publisher = FeedPublisher::new_quorum("nss", key, authority, store, 0).unwrap();
+    Arc::new(Mutex::new(publisher))
+}
 
 fn socket_path() -> PathBuf {
     std::env::temp_dir().join(format!("nrslb-feed-torture-{}.sock", std::process::id()))
@@ -104,10 +114,7 @@ fn feed_node_torture_512_keep_alive_subscribers() {
     let pki = simple_chain("feed-torture.example");
     let mut store = RootStore::new("nss");
     store.add_trusted(pki.root.clone()).unwrap();
-    let coordinator = CoordinatorKey::from_seed([5; 32], 4).unwrap();
-    let key = FeedKey::new([6; 32], 10, &coordinator).unwrap();
-    let publisher = FeedPublisher::new("nss", key, &store, 0).unwrap();
-    let publisher = Arc::new(Mutex::new(publisher));
+    let publisher = publisher(5, &store);
 
     let path = socket_path();
     let node =
@@ -252,11 +259,7 @@ fn thousand_subscribers_each_complete_a_round_trip_from_one_thread() {
     let pki = simple_chain("feed-liveness.example");
     let mut store = RootStore::new("nss");
     store.add_trusted(pki.root.clone()).unwrap();
-    let coordinator = CoordinatorKey::from_seed([3; 32], 4).unwrap();
-    let key = FeedKey::new([4; 32], 6, &coordinator).unwrap();
-    let publisher = Arc::new(Mutex::new(
-        FeedPublisher::new("nss", key, &store, 0).unwrap(),
-    ));
+    let publisher = publisher(3, &store);
     let path =
         std::env::temp_dir().join(format!("nrslb-feed-liveness-{}.sock", std::process::id()));
     let _node =

@@ -16,7 +16,8 @@
 use nrslb_crypto::sha256::sha256;
 use nrslb_rootstore::RootStore;
 use nrslb_rsf::{
-    CoordinatorKey, FeedDistributionNode, FeedKey, FeedPublisher, FeedTrust, Snapshot, Subscriber,
+    FeedDistributionNode, FeedKey, FeedPublisher, FeedTrust, QuorumAuthority, QuorumConfig,
+    Snapshot, Subscriber,
 };
 use nrslb_x509::testutil::simple_chain;
 use std::io::{ErrorKind, Read, Write};
@@ -35,19 +36,26 @@ fn socket_path(tag: &str) -> PathBuf {
     ))
 }
 
+/// The seeded 2-of-3 coordinating body. Its signers sign the feed
+/// key's endorsement and one witness per checkpoint, well within a
+/// height-4 key's 16 one-time signatures.
+fn authority() -> QuorumAuthority {
+    QuorumAuthority::from_seed([7; 32], QuorumConfig { k: 2, n: 3 }, 4).unwrap()
+}
+
 /// The seeded publisher and the store it was built from.
 fn publisher() -> (Arc<Mutex<FeedPublisher>>, RootStore) {
     let pki = simple_chain("parity.example");
     let mut store = RootStore::new("nss");
     store.add_trusted(pki.root.clone()).unwrap();
-    let coordinator = CoordinatorKey::from_seed([7; 32], 4).unwrap();
-    let key = FeedKey::new([8; 32], 8, &coordinator).unwrap();
-    let publisher = FeedPublisher::new("nss", key, &store, 0).unwrap();
+    let authority = authority();
+    let key = FeedKey::new_quorum([8; 32], 8, &authority).unwrap();
+    let publisher = FeedPublisher::new_quorum("nss", key, authority, &store, 0).unwrap();
     (Arc::new(Mutex::new(publisher)), store)
 }
 
 fn trust() -> FeedTrust {
-    FeedTrust::single(CoordinatorKey::from_seed([7; 32], 4).unwrap().public())
+    FeedTrust::quorum(authority().trust())
 }
 
 /// Distrust the store's one root and publish the delta at t=100.

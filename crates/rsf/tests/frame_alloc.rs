@@ -4,7 +4,7 @@
 //! truncated, and no single allocation made during it may exceed 1 MiB.
 //! The allocator hook is process-wide, so this runs in its own binary.
 
-use nrslb_rsf::{CoordinatorKey, FeedTrust, Subscriber};
+use nrslb_rsf::{FeedTrust, QuorumAuthority, QuorumConfig, Subscriber};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::io::{Read, Write};
 use std::os::unix::net::UnixListener;
@@ -68,7 +68,8 @@ fn announced_length_does_not_size_the_read() {
         // Dropping the stream hangs up 8 bytes into the body.
     });
 
-    let trust = FeedTrust::single(CoordinatorKey::from_seed([1; 32], 4).unwrap().public());
+    let authority = QuorumAuthority::from_seed([1; 32], QuorumConfig { k: 2, n: 3 }, 1).unwrap();
+    let trust = FeedTrust::quorum(authority.trust());
     let mut subscriber = Subscriber::builder("victim", trust).connect(&path);
     LARGEST.store(0, Ordering::Relaxed);
     ARMED.store(true, Ordering::Relaxed);

@@ -6,9 +6,10 @@
 //! the same treatment.
 
 use nrslb_rsf::signing::MessageKind;
+use nrslb_rsf::wire::Writer;
 use nrslb_rsf::{
     Checkpoint, FeedKey, FeedTrust, QuorumAuthority, QuorumConfig, QuorumSignature, RotationEvent,
-    SignedMessage, TransparencyLog,
+    RsfError, SignedMessage, TransparencyLog,
 };
 use proptest::prelude::*;
 use std::sync::OnceLock;
@@ -128,8 +129,7 @@ proptest! {
             let m = key.sign(MessageKind::Delta, &p.to_le_bytes()).unwrap();
             log.append(&m);
         }
-        let ckpt = log.checkpoint_witnessed(key, authority()).unwrap();
-        prop_assert!(ckpt.witness.is_some(), "quorum checkpoint must be witnessed");
+        let ckpt = log.checkpoint(key, authority()).unwrap();
         let bytes = ckpt.encode();
         let back = Checkpoint::decode(&bytes).expect("own encoding decodes");
         prop_assert_eq!(back.encode(), bytes.clone());
@@ -156,4 +156,29 @@ fn garbage_inputs_are_typed_errors() {
         .collect();
     assert!(QuorumSignature::decode(&noise).is_err());
     assert!(RotationEvent::decode(&noise).is_err());
+}
+
+/// A witnessed (`RSF2-CKPT`) frame cut off before its witness field is
+/// a truncated frame, not an unwitnessed checkpoint.
+#[test]
+fn checkpoint_without_its_witness_fails_to_decode() {
+    let key = quorum_feed_key();
+    let mut log = TransparencyLog::new();
+    log.append(&key.sign(MessageKind::Delta, b"m").unwrap());
+    let ckpt = log.checkpoint(key, authority()).unwrap();
+    let mut w = Writer::new();
+    w.put_str("RSF2-CKPT")
+        .put_u64(ckpt.size)
+        .put_bytes(ckpt.root.as_bytes())
+        .put_bytes(&ckpt.signature.to_bytes());
+    let cut = w.finish();
+    assert!(ckpt.encode().starts_with(&cut), "the cut is a prefix");
+    match Checkpoint::decode(&cut) {
+        Err(RsfError::Decode {
+            artifact: "checkpoint",
+            field: "witness",
+            ..
+        }) => {}
+        other => panic!("expected a decode error at the witness, got {other:?}"),
+    }
 }

@@ -7,7 +7,8 @@ use nrslb_crypto::sha256::sha256;
 use nrslb_rootstore::RootStore;
 use nrslb_rsf::signing::MessageKind;
 use nrslb_rsf::{
-    Checkpoint, CoordinatorKey, Delta, FeedKey, FeedTrust, SignedMessage, Snapshot, TransparencyLog,
+    Checkpoint, Delta, FeedKey, FeedTrust, QuorumAuthority, QuorumConfig, SignedMessage, Snapshot,
+    TransparencyLog,
 };
 use nrslb_x509::testutil::simple_chain;
 use nrslb_x509::Certificate;
@@ -25,11 +26,21 @@ fn cert_pool() -> &'static Vec<Certificate> {
     })
 }
 
-fn feed_key() -> &'static FeedKey {
-    static KEY: OnceLock<FeedKey> = OnceLock::new();
-    KEY.get_or_init(|| {
-        let coordinator = CoordinatorKey::from_seed([0x51; 32], 6).unwrap();
-        FeedKey::new([0x52; 32], 10, &coordinator).unwrap()
+/// A 2-of-3 quorum and the feed key it endorsed, built once. Each
+/// signer signs the endorsement and one witness per checkpoint case:
+/// 33 signatures, within a height-6 key's 64.
+struct Feed {
+    authority: QuorumAuthority,
+    key: FeedKey,
+}
+
+fn feed() -> &'static Feed {
+    static FEED: OnceLock<Feed> = OnceLock::new();
+    FEED.get_or_init(|| {
+        let authority =
+            QuorumAuthority::from_seed([0x51; 32], QuorumConfig { k: 2, n: 3 }, 6).unwrap();
+        let key = FeedKey::new_quorum([0x52; 32], 10, &authority).unwrap();
+        Feed { authority, key }
     })
 }
 
@@ -130,13 +141,13 @@ proptest! {
         flip_pos in any::<usize>(),
         flip_bit_n in any::<u8>(),
     ) {
-        let key = feed_key();
+        let feed = feed();
         let mut log = TransparencyLog::new();
         for p in &payloads {
-            let m = key.sign(MessageKind::Delta, &p.to_le_bytes()).unwrap();
+            let m = feed.key.sign(MessageKind::Delta, &p.to_le_bytes()).unwrap();
             log.append(&m);
         }
-        let ckpt = log.checkpoint(key).unwrap();
+        let ckpt = log.checkpoint(&feed.key, &feed.authority).unwrap();
         let bytes = ckpt.encode();
         let back = Checkpoint::decode(&bytes).expect("own encoding decodes");
         prop_assert_eq!(back.encode(), bytes.clone());
@@ -156,11 +167,11 @@ proptest! {
         flip_pos in any::<usize>(),
         flip_bit_n in any::<u8>(),
     ) {
-        let key = feed_key();
-        let trust = FeedTrust::single(CoordinatorKey::from_seed([0x51; 32], 6).unwrap().public());
+        let feed = feed();
+        let trust = FeedTrust::quorum(feed.authority.trust());
         let store = build_store(&spec);
         let snap = Snapshot::capture("prop-feed", 1, 0, &store);
-        let signed = key.sign(MessageKind::Snapshot, &snap.encode()).unwrap();
+        let signed = feed.key.sign(MessageKind::Snapshot, &snap.encode()).unwrap();
         let bytes = signed.encode();
         // Sanity: the unmutated message decodes and verifies.
         SignedMessage::decode(&bytes).unwrap().verify(&trust).unwrap();
@@ -168,7 +179,8 @@ proptest! {
         let cut = cut_frac * bytes.len() / 1000;
         prop_assert!(SignedMessage::decode(&bytes[..cut]).is_err());
         // Bit-flips either fail to decode or fail to verify — a
-        // damaged frame can never be accepted.
+        // damaged frame can never be accepted, whether the flip lands
+        // in the payload, the feed signature or the quorum endorsement.
         let mut flipped = bytes.clone();
         flip_bit(&mut flipped, flip_pos, flip_bit_n);
         if let Ok(mutated) = SignedMessage::decode(&flipped) {

@@ -9,9 +9,10 @@
 use nrslb_crypto::hbs::Keypair;
 use nrslb_crypto::sha256::sha256;
 use nrslb_rootstore::RootStore;
+use nrslb_rsf::wire::Writer;
 use nrslb_rsf::{
-    FeedKey, FeedPublisher, FeedTrust, QuorumAuthority, QuorumConfig, RsfError, Subscriber,
-    SyncState,
+    Checkpoint, FeedKey, FeedPublisher, FeedTrust, QuorumAuthority, QuorumConfig, QuorumSignature,
+    RsfError, SignedMessage, Subscriber, SyncState,
 };
 use nrslb_x509::testutil::simple_chain;
 
@@ -68,7 +69,7 @@ fn sub_quorum_checkpoint_rejected() {
     let witness = minority
         .sign_with(&[0], &forged.encode())
         .expect("minority witness");
-    forged.witness = Some(witness);
+    forged.witness = witness;
     expect_bad_signature(
         subscriber.poll(messages.clone(), forged, None, 20),
         "sub-quorum signature",
@@ -92,11 +93,16 @@ fn unwitnessed_checkpoint_rejected_on_quorum_feed() {
         .into_iter()
         .cloned()
         .collect();
+    // An empty witness: no signer claimed, at the current epoch.
     let mut forged = publisher.checkpoint().expect("checkpoint");
-    forged.witness = None;
+    forged.witness = QuorumSignature {
+        epoch: forged.witness.epoch,
+        bitmap: 0,
+        partials: Vec::new(),
+    };
     expect_bad_signature(
         subscriber.poll(messages, forged, None, 20),
-        "checkpoint missing quorum witness",
+        "sub-quorum signature",
     );
     assert!(!matches!(subscriber.state(), SyncState::Quarantined { .. }));
 }
@@ -146,10 +152,7 @@ fn pre_rotation_witness_rejected_after_rotation() {
     // The rotation flows through the feed: the next sync applies it.
     subscriber.sync(&mut publisher, 110).expect("sync");
     assert_eq!(subscriber.counters().rotations_applied, 1);
-    match subscriber.trust() {
-        FeedTrust::Quorum(quorum) => assert_eq!(quorum.epoch, 2),
-        other => panic!("expected quorum trust, got {other:?}"),
-    }
+    assert_eq!(subscriber.trust().pinned().epoch, 2);
     // Replaying the retired epoch's witness is a signature failure,
     // not a split view — even though the stale checkpoint also rolls
     // the log back.
@@ -198,18 +201,43 @@ fn rotation_event_is_idempotent_and_tamper_evident() {
     assert!(victim.apply_rotation(&skipped).is_err());
 }
 
+/// Asserts `result` is the decoder's bad-magic error for `artifact`.
+fn expect_bad_magic<T: std::fmt::Debug>(result: Result<T, RsfError>, artifact: &str) {
+    match result {
+        Err(RsfError::Decode {
+            artifact: a,
+            field: "magic",
+            reason,
+            ..
+        }) if a == artifact => assert_eq!(reason, format!("bad {artifact} magic")),
+        other => panic!("expected a bad {artifact} magic error, got {other:?}"),
+    }
+}
+
+/// The single-signer frames the feed no longer speaks: a message
+/// endorsed by one coordinator signature (`RSF1-SIGNED`) and an
+/// unwitnessed checkpoint (`RSF1-CKPT`), built here in their old
+/// layout from otherwise genuine parts. Both fail to decode at the
+/// magic, before any field is trusted.
 #[test]
-fn single_signer_endorsement_rejected_by_quorum_trust() {
-    let (_, _, mut subscriber) = synced_pair();
-    // A coordinator-endorsed (ablation arm) feed presented to a
-    // quorum-pinning subscriber must fail on the endorsement scheme.
-    let coordinator = nrslb_rsf::CoordinatorKey::from_seed([0x33; 32], 4).expect("coordinator key");
-    let key = FeedKey::new([0x34; 32], 8, &coordinator).expect("feed key");
-    let truth = RootStore::new("imposter");
-    let mut imposter = FeedPublisher::new("imposter", key, &truth, 0).expect("publisher");
-    let err = subscriber.sync(&mut imposter, 10).unwrap_err();
-    assert!(
-        matches!(err, RsfError::BadSignature(_)),
-        "expected a signature rejection, got {err:?}"
-    );
+fn legacy_single_signer_frames_fail_to_decode() {
+    let (_, mut publisher, _) = synced_pair();
+    let message = publisher.fetch(0)[0].clone();
+    let lone_endorsement = &message.endorsement.partials[0];
+    let mut w = Writer::new();
+    w.put_str("RSF1-SIGNED")
+        .put_u8(message.kind as u8)
+        .put_bytes(&message.payload)
+        .put_bytes(&message.feed_key.to_bytes())
+        .put_bytes(&lone_endorsement.to_bytes())
+        .put_bytes(&message.signature.to_bytes());
+    expect_bad_magic(SignedMessage::decode(&w.finish()), "signed-message");
+
+    let checkpoint = publisher.checkpoint().expect("checkpoint");
+    let mut w = Writer::new();
+    w.put_str("RSF1-CKPT")
+        .put_u64(checkpoint.size)
+        .put_bytes(checkpoint.root.as_bytes())
+        .put_bytes(&checkpoint.signature.to_bytes());
+    expect_bad_magic(Checkpoint::decode(&w.finish()), "checkpoint");
 }

@@ -8,18 +8,28 @@ use nrslb_crypto::sha256::sha256;
 use nrslb_rootstore::RootStore;
 use nrslb_rsf::signing::MessageKind;
 use nrslb_rsf::{
-    Clock, CoordinatorKey, Delta, FaultInjector, FaultPlan, FeedKey, FeedPublisher, FeedTrust,
-    RsfError, Snapshot, Staleness, Subscriber, SyncPolicy, SyncState, TransparencyLog,
-    VirtualClock,
+    Clock, Delta, FaultInjector, FaultPlan, FeedKey, FeedPublisher, FeedTrust, QuorumAuthority,
+    QuorumConfig, RsfError, Snapshot, Staleness, Subscriber, SyncPolicy, SyncState,
+    TransparencyLog, VirtualClock,
 };
 use nrslb_x509::testutil::simple_chain;
 
-fn coordinator() -> CoordinatorKey {
-    CoordinatorKey::from_seed([0x71; 32], 4).expect("coordinator key")
+/// The 2-of-3 coordinating body. Each signer signs the endorsement and
+/// one witness per checkpoint: at most ten here, within a height-4
+/// key's 16 one-time signatures.
+fn authority() -> QuorumAuthority {
+    QuorumAuthority::from_seed([0x71; 32], QuorumConfig { k: 2, n: 3 }, 4).expect("quorum")
 }
 
 fn trust() -> FeedTrust {
-    FeedTrust::single(coordinator().public())
+    FeedTrust::quorum(authority().trust())
+}
+
+/// A publisher of `truth` whose feed key is seeded with `feed_seed`.
+fn publisher(feed_seed: u8, height: u8, truth: &RootStore) -> FeedPublisher {
+    let authority = authority();
+    let key = FeedKey::new_quorum([feed_seed; 32], height, &authority).expect("feed key");
+    FeedPublisher::new_quorum("primary", key, authority, truth, 0).expect("publisher")
 }
 
 /// Canonical bytes of a store's *content* (name/sequence/time pinned).
@@ -29,12 +39,11 @@ fn canonical(store: &RootStore) -> Vec<u8> {
 
 #[test]
 fn lossy_channel_converges_byte_identically() {
-    let key = FeedKey::new([0x72; 32], 12, &coordinator()).expect("feed key");
     let mut truth = RootStore::new("primary");
     truth
         .add_trusted(simple_chain("resilience-seed.example").root)
         .unwrap();
-    let mut publisher = FeedPublisher::new("primary", key, &truth, 0).expect("publisher");
+    let mut publisher = publisher(0x72, 12, &truth);
     let mut subscriber = Subscriber::builder("derivative", trust())
         .policy(SyncPolicy {
             max_attempts: 10,
@@ -82,12 +91,11 @@ fn lossy_channel_converges_byte_identically() {
 
 #[test]
 fn rewritten_history_quarantines_and_keeps_serving_last_good_store() {
-    let key = FeedKey::new([0x73; 32], 10, &coordinator()).expect("feed key");
     let mut truth = RootStore::new("primary");
     truth
         .add_trusted(simple_chain("honest-root.example").root)
         .unwrap();
-    let mut publisher = FeedPublisher::new("primary", key, &truth, 0).expect("publisher");
+    let mut publisher = publisher(0x73, 10, &truth);
     let mut subscriber = Subscriber::builder("derivative", trust())
         .staleness_bound_secs(3_600)
         .build();
@@ -97,11 +105,12 @@ fn rewritten_history_quarantines_and_keeps_serving_last_good_store() {
     let good = canonical(subscriber.store());
     let pinned_size = subscriber.pinned_checkpoint().expect("pinned").size;
 
-    // The publisher key is compromised: the attacker rebuilds the
-    // transparency log from scratch with a different history, grows it
-    // past the pinned size, and offers a forged delta plus a
+    // The publisher equivocates: it rebuilds the transparency log from
+    // scratch with a different history, grows it past the pinned size,
+    // and offers a forged delta plus a quorum-witnessed
     // checkpoint/"consistency proof" over the rewritten log.
-    let fork_key = FeedKey::new([0x73; 32], 10, &coordinator()).expect("fork key");
+    let fork_authority = authority();
+    let fork_key = FeedKey::new_quorum([0x73; 32], 10, &fork_authority).expect("fork key");
     let mut forked_log = TransparencyLog::new();
     let mut evil = RootStore::new("primary");
     let evil_delta = Delta::between(&evil, &truth, 0, 1, 50);
@@ -119,7 +128,9 @@ fn rewritten_history_quarantines_and_keeps_serving_last_good_store() {
             .expect("sign next forged delta")
     };
     forked_log.append(&forged_next);
-    let forged_ckpt = forked_log.checkpoint(&fork_key).expect("forged checkpoint");
+    let forged_ckpt = forked_log
+        .checkpoint(&fork_key, &fork_authority)
+        .expect("forged checkpoint");
     let forged_proof = forked_log.prove_consistency(pinned_size, forked_log.len());
 
     let err = subscriber
@@ -164,9 +175,8 @@ fn rewritten_history_quarantines_and_keeps_serving_last_good_store() {
 
 #[test]
 fn dead_channel_exhausts_retry_budget() {
-    let key = FeedKey::new([0x74; 32], 8, &coordinator()).expect("feed key");
     let mut truth = RootStore::new("primary");
-    let mut publisher = FeedPublisher::new("primary", key, &truth, 0).expect("publisher");
+    let mut publisher = publisher(0x74, 8, &truth);
     truth.distrust(sha256(b"unreachable-incident"), "incident");
     publisher.publish(&truth, 0).expect("publish");
     let mut subscriber = Subscriber::builder("derivative", trust())
@@ -197,12 +207,11 @@ fn dead_channel_exhausts_retry_budget() {
 
 #[test]
 fn backoff_and_staleness_run_on_virtual_time() {
-    let key = FeedKey::new([0x75; 32], 8, &coordinator()).expect("feed key");
     let mut truth = RootStore::new("primary");
     truth
         .add_trusted(simple_chain("virtual-time.example").root)
         .unwrap();
-    let mut publisher = FeedPublisher::new("primary", key, &truth, 0).expect("publisher");
+    let mut publisher = publisher(0x75, 8, &truth);
     let clock = VirtualClock::shared(1_000);
     let mut subscriber = Subscriber::builder("derivative", trust())
         .policy(SyncPolicy {
@@ -257,12 +266,11 @@ fn staleness_verdict_flips_exactly_one_second_past_the_bound() {
     // the staleness bound is still Fresh; one second later it is
     // Exceeded. Driven entirely on virtual time so the boundary
     // instants are exact, assertable numbers.
-    let key = FeedKey::new([0x76; 32], 8, &coordinator()).expect("feed key");
     let mut truth = RootStore::new("primary");
     truth
         .add_trusted(simple_chain("boundary.example").root)
         .unwrap();
-    let mut publisher = FeedPublisher::new("primary", key, &truth, 0).expect("publisher");
+    let mut publisher = publisher(0x76, 8, &truth);
     const BOUND: i64 = 3_600;
     let sync_at = 10_000i64;
     let clock = VirtualClock::shared(sync_at);

@@ -6,22 +6,25 @@
 use nrslb_crypto::sha256::sha256;
 use nrslb_rootstore::{Gcc, GccMetadata, RootStore};
 use nrslb_rsf::signing::MessageKind;
-use nrslb_rsf::{CoordinatorKey, Delta, FeedKey, FeedTrust, Snapshot, Subscriber, SyncEvent};
+use nrslb_rsf::{
+    Delta, FeedKey, FeedTrust, QuorumAuthority, QuorumConfig, Snapshot, Subscriber, SyncEvent,
+};
 use nrslb_x509::testutil::simple_chain;
 
 const GCC_SRC: &str = "valid(Chain, _) :- leaf(Chain, _).";
 
-fn coordinator() -> CoordinatorKey {
-    CoordinatorKey::from_seed([0x5a; 32], 6).expect("coordinator key")
+/// The 2-of-3 coordinating body; it only endorses the feed key here.
+fn authority() -> QuorumAuthority {
+    QuorumAuthority::from_seed([0x5a; 32], QuorumConfig { k: 2, n: 3 }, 2).expect("quorum")
 }
 
 fn trust() -> FeedTrust {
-    FeedTrust::single(coordinator().public())
+    FeedTrust::quorum(authority().trust())
 }
 
 #[test]
 fn taint_flows_precisely_for_deltas_and_fully_for_snapshots() {
-    let key = FeedKey::new([0x5b; 32], 10, &coordinator()).expect("feed key");
+    let key = FeedKey::new_quorum([0x5b; 32], 10, &authority()).expect("feed key");
     let mut subscriber = Subscriber::builder("derivative", trust()).build();
     assert!(
         subscriber.pending_taint().is_empty(),

@@ -21,15 +21,20 @@ use nrslb_crypto::Digest;
 use nrslb_rootstore::{Gcc, GccMetadata, RootStore};
 use nrslb_rsf::signing::MessageKind;
 use nrslb_rsf::{
-    CoordinatorKey, Delta, FaultInjector, FaultPlan, FeedKey, FeedPublisher, FeedTrust,
-    QuorumAuthority, QuorumConfig, Subscriber, SyncPolicy, SyncState, TransparencyLog,
+    Delta, FaultInjector, FaultPlan, FeedKey, FeedPublisher, FeedTrust, QuorumAuthority,
+    QuorumConfig, QuorumSignature, Subscriber, SyncPolicy, SyncState, TransparencyLog,
 };
 use rand::prelude::*;
 
+/// The coordinating body behind the simulated feed: 2 of 3 members
+/// endorse the feed key and witness every checkpoint.
+const QUORUM: QuorumConfig = QuorumConfig { k: 2, n: 3 };
+
 /// One-time-signature tree height for simulated quorum signer keys:
 /// 256 signatures per signer per epoch covers every witnessed
-/// checkpoint plus a 100-attempt forgery barrage with margin, while
-/// keeping quorum key generation cheap enough for debug-build tests.
+/// checkpoint of a 1,000-event run plus a 100-attempt forgery barrage,
+/// while keeping quorum key generation cheap enough for debug-build
+/// tests.
 const SIM_SIGNER_HEIGHT: u8 = 8;
 
 /// One subscriber's knobs: how often it polls, how lossy its channel
@@ -109,16 +114,12 @@ pub struct EcosystemConfig {
     /// When set, a forged split-view is presented to subscriber 0 at
     /// this absolute virtual time (it must quarantine).
     pub split_view_attack_at_secs: Option<i64>,
-    /// When set, the feed is governed by a k-of-n quorum instead of the
-    /// single coordinator (checkpoints are witnessed; subscribers pin
-    /// the signer set).
-    pub quorum: Option<QuorumConfig>,
-    /// When set (quorum feeds only), a share-rotation ceremony runs at
-    /// this absolute virtual time and flows through the feed.
+    /// When set, a share-rotation ceremony runs at this absolute
+    /// virtual time and flows through the feed.
     pub rotate_at_secs: Option<i64>,
-    /// When set (quorum feeds only), a compromised minority of `k-1`
-    /// signers stages forged checkpoints at this virtual time; every
-    /// presentation must be rejected ([`Ecosystem::forged_accepted`]).
+    /// When set, a compromised minority of `k-1` signers stages forged
+    /// checkpoints at this virtual time; every presentation must be
+    /// rejected ([`Ecosystem::forged_accepted`]).
     pub minority_attack: Option<MinorityAttack>,
     /// PKI sizing for the chain generator (its seed is overridden with
     /// one derived from `seed`).
@@ -161,7 +162,6 @@ impl Default for EcosystemConfig {
                     .with_staleness_bound(7_200),
             ],
             split_view_attack_at_secs: None,
-            quorum: None,
             rotate_at_secs: None,
             minority_attack: None,
             chains: ChainGenConfig::default(),
@@ -199,7 +199,6 @@ pub struct Ecosystem {
     truth: RootStore,
     publisher: FeedPublisher,
     feed_seed: [u8; 32],
-    coordinator_seed: [u8; 32],
     quorum_seed: [u8; 32],
     trust: FeedTrust,
     slots: Vec<SubscriberSlot>,
@@ -225,8 +224,6 @@ impl Ecosystem {
         gen_config.seed = config.seed ^ 0xc4a1_97e5;
         let generator = ChainGenerator::new(&gen_config, config.epoch_secs);
 
-        let mut coordinator_seed = [0u8; 32];
-        rng.fill(&mut coordinator_seed);
         let mut feed_seed = [0u8; 32];
         rng.fill(&mut feed_seed);
         let mut quorum_seed = [0u8; 32];
@@ -246,33 +243,13 @@ impl Ecosystem {
                 gccs_attached += 1;
             }
         }
-        let (publisher, trust) = match config.quorum {
-            Some(qc) => {
-                let authority = QuorumAuthority::from_seed(quorum_seed, qc, SIM_SIGNER_HEIGHT)
-                    .expect("quorum authority");
-                let trust = FeedTrust::quorum(authority.trust());
-                let feed_key =
-                    FeedKey::new_quorum(feed_seed, 12, &authority).expect("quorum feed key");
-                let publisher = FeedPublisher::new_quorum(
-                    "primary",
-                    feed_key,
-                    authority,
-                    &truth,
-                    config.epoch_secs,
-                )
+        let authority = QuorumAuthority::from_seed(quorum_seed, QUORUM, SIM_SIGNER_HEIGHT)
+            .expect("quorum authority");
+        let trust = FeedTrust::quorum(authority.trust());
+        let feed_key = FeedKey::new_quorum(feed_seed, 12, &authority).expect("feed key");
+        let publisher =
+            FeedPublisher::new_quorum("primary", feed_key, authority, &truth, config.epoch_secs)
                 .expect("publisher");
-                (publisher, trust)
-            }
-            None => {
-                let coordinator =
-                    CoordinatorKey::from_seed(coordinator_seed, 4).expect("coordinator key");
-                let feed_key = FeedKey::new(feed_seed, 12, &coordinator).expect("feed key");
-                let trust = FeedTrust::single(coordinator.public());
-                let publisher = FeedPublisher::new("primary", feed_key, &truth, config.epoch_secs)
-                    .expect("publisher");
-                (publisher, trust)
-            }
-        };
 
         let mut scheduler = Scheduler::new();
         scheduler.schedule_at_secs(
@@ -308,13 +285,11 @@ impl Ecosystem {
         if let Some(at) = config.split_view_attack_at_secs {
             scheduler.schedule_at_secs(at, EcoEvent::Attack);
         }
-        if config.quorum.is_some() {
-            if let Some(at) = config.rotate_at_secs {
-                scheduler.schedule_at_secs(at, EcoEvent::Rotate);
-            }
-            if let Some(attack) = config.minority_attack {
-                scheduler.schedule_at_secs(attack.at_secs, EcoEvent::MinorityAttack);
-            }
+        if let Some(at) = config.rotate_at_secs {
+            scheduler.schedule_at_secs(at, EcoEvent::Rotate);
+        }
+        if let Some(attack) = config.minority_attack {
+            scheduler.schedule_at_secs(attack.at_secs, EcoEvent::MinorityAttack);
         }
 
         Ecosystem {
@@ -325,7 +300,6 @@ impl Ecosystem {
             truth,
             publisher,
             feed_seed,
-            coordinator_seed,
             quorum_seed,
             trust,
             slots,
@@ -513,9 +487,12 @@ impl Ecosystem {
     }
 
     /// Present a forged, history-rewriting feed to subscriber `victim`
-    /// — correctly signed (the feed key is "compromised": same seed,
-    /// fresh one-time-signature state) over a rebuilt transparency log.
-    /// The subscriber must detect the split view and quarantine.
+    /// — correctly signed and quorum-witnessed over a rebuilt
+    /// transparency log. The equivocator is the publisher itself: it
+    /// rebuilds its feed key and its whole coordinating body from their
+    /// seeds (fresh one-time-signature state), advanced through every
+    /// rotation the feed has run. The subscriber must detect the split
+    /// view and quarantine.
     fn attack_split_view(&mut self, victim: usize) {
         let now = self.clock.now_secs();
         let pinned_size = match self.slots[victim].subscriber.pinned_checkpoint() {
@@ -530,9 +507,14 @@ impl Ecosystem {
                 return;
             }
         };
-        let coordinator =
-            CoordinatorKey::from_seed(self.coordinator_seed, 4).expect("coordinator key");
-        let fork_key = FeedKey::new(self.feed_seed, 12, &coordinator).expect("fork key");
+        let mut authority = QuorumAuthority::from_seed(self.quorum_seed, QUORUM, SIM_SIGNER_HEIGHT)
+            .expect("fork authority");
+        for event in self.publisher.rotations() {
+            authority
+                .rotate(event.published_at)
+                .expect("replayed rotation");
+        }
+        let fork_key = FeedKey::new_quorum(self.feed_seed, 12, &authority).expect("fork key");
         let mut forked_log = TransparencyLog::new();
         let mut evil = RootStore::new("primary");
         evil.distrust(sha256::sha256(b"attacker rewrite"), "attacker");
@@ -555,7 +537,9 @@ impl Ecosystem {
             .sign(MessageKind::Delta, &next.encode())
             .expect("sign forged delta");
         forked_log.append(&forged_next);
-        let forged_ckpt = forked_log.checkpoint(&fork_key).expect("forged checkpoint");
+        let forged_ckpt = forked_log
+            .checkpoint(&fork_key, &authority)
+            .expect("forged checkpoint");
         let forged_proof = forked_log.prove_consistency(pinned_size, forked_log.len());
         let result = slot
             .subscriber
@@ -591,7 +575,7 @@ impl Ecosystem {
     /// deterministic derivation, like the split-view fork key) presents
     /// forged checkpoints to a fresh bootstrapping victim and to pinned
     /// fleet member 0. Forgery strategies cycle per attempt:
-    /// an honest-but-sub-quorum witness, a missing witness, and a
+    /// an honest-but-sub-quorum witness, an empty witness, and a
     /// bitmap padded to `k` with a rogue-key partial. Every
     /// presentation must be rejected with a retryable signature error —
     /// never accepted, and never a quarantine of the honest fleet.
@@ -600,19 +584,17 @@ impl Ecosystem {
         let Some(attack) = self.config.minority_attack else {
             return;
         };
-        let Some(qc) = self.config.quorum else {
-            self.minority_attack_done = true;
-            self.trace.push(format!(
-                "t={now} minority attack skipped (single-signer feed)"
-            ));
-            return;
-        };
         // The compromised minority: fresh one-time-signature state for
         // the k-1 leaked signer keys, at the genesis epoch they were
-        // leaked in.
-        let compromised = QuorumAuthority::from_seed(self.quorum_seed, qc, SIM_SIGNER_HEIGHT)
+        // leaked in. Signer keys derive from the master seed alone, so
+        // a (k-1)-of-n authority rebuilt from it signs with exactly the
+        // leaked members' keys.
+        let leaked = QuorumConfig {
+            k: QUORUM.k - 1,
+            n: QUORUM.n,
+        };
+        let compromised = QuorumAuthority::from_seed(self.quorum_seed, leaked, SIM_SIGNER_HEIGHT)
             .expect("compromised minority");
-        let minority: Vec<u8> = (0..qc.k - 1).collect();
         let mut rogue =
             nrslb_crypto::hbs::Keypair::from_seed(*sha256::sha256(b"rogue signer").as_bytes(), 8)
                 .expect("rogue signer");
@@ -626,9 +608,7 @@ impl Ecosystem {
             .expect("published message")
             .endorsement
             .clone();
-        let coordinator =
-            CoordinatorKey::from_seed(self.coordinator_seed, 4).expect("coordinator key");
-        let fork_key = FeedKey::new(self.feed_seed, 12, &coordinator).expect("fork key");
+        let fork_key = FeedKey::new_quorum(self.feed_seed, 12, &compromised).expect("fork key");
         let mut evil = RootStore::new("primary");
         evil.distrust(sha256::sha256(b"minority rewrite"), "attacker");
         let delta = Delta::between(&RootStore::new("primary"), &evil, 0, 1, now);
@@ -638,7 +618,9 @@ impl Ecosystem {
         forged_msg.endorsement = honest_endorsement;
         let mut forked_log = TransparencyLog::new();
         forked_log.append(&forged_msg);
-        let base_ckpt = forked_log.checkpoint(&fork_key).expect("forged checkpoint");
+        let base_ckpt = forked_log
+            .checkpoint(&fork_key, &compromised)
+            .expect("forged checkpoint");
         let mut rejections: Vec<String> = Vec::new();
         for j in 0..attack.attempts {
             // Vary the witnessed bytes per attempt so every forgery
@@ -646,20 +628,18 @@ impl Ecosystem {
             let mut witnessed = base_ckpt.encode();
             witnessed.extend_from_slice(&j.to_le_bytes());
             let witness = match j % 3 {
-                0 => Some(
-                    compromised
-                        .sign_with(&minority, &witnessed)
-                        .expect("minority partials"),
-                ),
-                1 => None,
+                0 => compromised.sign(&witnessed).expect("minority partials"),
+                1 => QuorumSignature {
+                    epoch: compromised.epoch(),
+                    bitmap: 0,
+                    partials: Vec::new(),
+                },
                 _ => {
-                    let mut qs = compromised
-                        .sign_with(&minority, &witnessed)
-                        .expect("minority partials");
-                    qs.bitmap |= 1 << (qc.k - 1);
+                    let mut qs = compromised.sign(&witnessed).expect("minority partials");
+                    qs.bitmap |= 1 << leaked.k;
                     qs.partials
                         .push(rogue.sign(&witnessed).expect("rogue partial"));
-                    Some(qs)
+                    qs
                 }
             };
             let mut forged_ckpt = base_ckpt.clone();
@@ -806,32 +786,19 @@ mod tests {
         assert!(eco.gccs_attached() > 0, "evolution must attach GCCs");
     }
 
-    fn quorum_config() -> EcosystemConfig {
+    fn two_member_config() -> EcosystemConfig {
         EcosystemConfig {
             subscribers: vec![
                 SubscriberSpec::named("mirror").polling_every(1_800),
                 SubscriberSpec::named("laggard").polling_every(14_400),
             ],
-            quorum: Some(QuorumConfig { k: 2, n: 3 }),
             ..EcosystemConfig::default()
         }
     }
 
     #[test]
-    fn quorum_feed_converges_like_single_signer() {
-        let config = quorum_config();
-        let mut eco = Ecosystem::new(&config);
-        for _ in 0..60 {
-            eco.step();
-        }
-        while !matches!(eco.step(), Some(EcoEvent::Poll(0))) {}
-        assert_eq!(eco.subscriber(0).sequence(), eco.publisher_sequence());
-        assert!(matches!(eco.subscriber(0).state(), SyncState::Live));
-    }
-
-    #[test]
     fn rotation_flows_through_the_fleet() {
-        let mut config = quorum_config();
+        let mut config = two_member_config();
         config.rotate_at_secs = Some(config.epoch_secs + 4 * 3_600);
         let mut eco = Ecosystem::new(&config);
         for _ in 0..200 {
@@ -849,16 +816,13 @@ mod tests {
         while !matches!(eco.step(), Some(EcoEvent::Poll(0))) {}
         assert_eq!(eco.subscriber(0).sequence(), eco.publisher_sequence());
         for i in 0..eco.subscriber_count() {
-            match eco.subscriber(i).trust() {
-                FeedTrust::Quorum(quorum) => assert_eq!(quorum.epoch, 2),
-                other => panic!("expected quorum trust, got {other:?}"),
-            }
+            assert_eq!(eco.subscriber(i).trust().pinned().epoch, 2);
         }
     }
 
     #[test]
     fn compromised_minority_never_forges_a_checkpoint() {
-        let mut config = quorum_config();
+        let mut config = two_member_config();
         config.minority_attack = Some(MinorityAttack {
             at_secs: config.epoch_secs + 6 * 3_600,
             attempts: 30,
@@ -891,7 +855,10 @@ mod tests {
 
     #[test]
     fn split_view_attack_quarantines_the_victim() {
+        // The victim has applied a share rotation by the time of the
+        // attack, so the equivocator must witness at the new epoch.
         let mut config = EcosystemConfig::default();
+        config.rotate_at_secs = Some(config.epoch_secs + 4 * 3_600);
         config.split_view_attack_at_secs = Some(config.epoch_secs + 8 * 3_600);
         let mut eco = Ecosystem::new(&config);
         for _ in 0..400 {
@@ -901,6 +868,7 @@ mod tests {
             }
         }
         assert!(eco.attack_done(), "attack event never fired");
+        assert_eq!(eco.subscriber(0).trust().pinned().epoch, 2);
         assert!(
             matches!(eco.subscriber(0).state(), SyncState::Quarantined { .. }),
             "victim must quarantine on a split view, got {:?}",

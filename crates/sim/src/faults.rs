@@ -15,8 +15,8 @@
 use nrslb_crypto::sha256::sha256;
 use nrslb_rootstore::RootStore;
 use nrslb_rsf::{
-    CoordinatorKey, FaultInjector, FaultPlan, FeedKey, FeedPublisher, FeedTrust, Snapshot,
-    Subscriber, SyncCounters, SyncPolicy,
+    FaultInjector, FaultPlan, FeedKey, FeedPublisher, FeedTrust, QuorumAuthority, QuorumConfig,
+    Snapshot, Subscriber, SyncCounters, SyncPolicy,
 };
 
 /// Configuration for one resilience run.
@@ -84,11 +84,19 @@ fn canonical(store: &RootStore) -> Vec<u8> {
 /// `config.rounds` rounds and sync a subscriber through a channel with
 /// `config.fault_rate` faults after each round.
 pub fn run_fault_simulation(config: &FaultConfig) -> FaultOutcome {
-    let coordinator = CoordinatorKey::from_seed([0xa1; 32], 4).expect("coordinator key");
-    let key = FeedKey::new([0xa2; 32], 12, &coordinator).expect("feed key");
-    let trust = FeedTrust::single(coordinator.public());
+    // Each 2-of-3 signer signs the endorsement and one witness per
+    // checkpoint: at most the bootstrap one plus one per round.
+    let signer_height = (config.rounds as u64 + 2)
+        .next_power_of_two()
+        .trailing_zeros() as u8;
+    let authority =
+        QuorumAuthority::from_seed([0xa1; 32], QuorumConfig { k: 2, n: 3 }, signer_height)
+            .expect("quorum authority");
+    let key = FeedKey::new_quorum([0xa2; 32], 12, &authority).expect("feed key");
+    let trust = FeedTrust::quorum(authority.trust());
     let mut truth = RootStore::new("primary");
-    let mut publisher = FeedPublisher::new("primary", key, &truth, 0).expect("publisher");
+    let mut publisher =
+        FeedPublisher::new_quorum("primary", key, authority, &truth, 0).expect("publisher");
     let mut subscriber = Subscriber::builder("derivative", trust)
         .policy(SyncPolicy {
             max_attempts: config.max_attempts,

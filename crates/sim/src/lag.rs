@@ -2,7 +2,7 @@
 
 use nrslb_core::{Usage, ValidationMode, Validator};
 use nrslb_rootstore::{Gcc, GccMetadata, RootStore};
-use nrslb_rsf::{CoordinatorKey, FeedKey, FeedPublisher, FeedTrust, Subscriber};
+use nrslb_rsf::{FeedKey, FeedPublisher, FeedTrust, QuorumAuthority, QuorumConfig, Subscriber};
 use nrslb_x509::builder::{CaKey, CertificateBuilder};
 use nrslb_x509::{Certificate, DistinguishedName};
 
@@ -233,11 +233,15 @@ pub fn run_lag_simulation(config: &LagConfig) -> LagOutcome {
     let horizon = config.horizon_days;
 
     // RSF infrastructure shared by all RSF derivatives.
-    let coordinator = CoordinatorKey::from_seed([0x90; 32], 6).expect("coordinator key");
-    let trust = FeedTrust::single(coordinator.public());
-    let feed_key = FeedKey::new([0x91; 32], 10, &coordinator).expect("feed key");
+    // The primary changes on two days, so each 2-of-3 signer signs the
+    // endorsement and at most three checkpoint witnesses.
+    let authority = QuorumAuthority::from_seed([0x90; 32], QuorumConfig { k: 2, n: 3 }, 3)
+        .expect("quorum authority");
+    let trust = FeedTrust::quorum(authority.trust());
+    let feed_key = FeedKey::new_quorum([0x91; 32], 10, &authority).expect("feed key");
     let mut publisher =
-        FeedPublisher::new("nss", feed_key, &world.primary_by_day[0], 0).expect("feed bootstrap");
+        FeedPublisher::new_quorum("nss", feed_key, authority, &world.primary_by_day[0], 0)
+            .expect("feed bootstrap");
 
     let mut per_derivative = Vec::new();
     for profile in &config.derivatives {

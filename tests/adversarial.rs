@@ -4,7 +4,7 @@
 //! verify.
 
 use nrslb::rootstore::RootStore;
-use nrslb::rsf::{Checkpoint, CoordinatorKey, FeedKey, FeedTrust, SignedMessage};
+use nrslb::rsf::{Checkpoint, FeedKey, FeedTrust, QuorumAuthority, QuorumConfig, SignedMessage};
 use nrslb::x509::testutil::simple_chain;
 
 /// Small deterministic PRNG so failures are reproducible.
@@ -49,11 +49,17 @@ fn mutate(bytes: &[u8], rng: &mut Lcg) -> Vec<u8> {
     out
 }
 
+/// A 2-of-3 quorum; its signers sign one endorsement and at most one
+/// checkpoint witness here.
+fn authority(seed: u8) -> QuorumAuthority {
+    QuorumAuthority::from_seed([seed; 32], QuorumConfig { k: 2, n: 3 }, 2).unwrap()
+}
+
 #[test]
 fn mutated_feed_messages_never_verify() {
-    let coordinator = CoordinatorKey::from_seed([1; 32], 4).unwrap();
-    let key = FeedKey::new([2; 32], 8, &coordinator).unwrap();
-    let trust = FeedTrust::single(coordinator.public());
+    let authority = authority(1);
+    let key = FeedKey::new_quorum([2; 32], 8, &authority).unwrap();
+    let trust = FeedTrust::quorum(authority.trust());
     let pki = simple_chain("adv.example");
     let mut store = RootStore::new("nss");
     store.add_trusted(pki.root.clone()).unwrap();
@@ -73,8 +79,9 @@ fn mutated_feed_messages_never_verify() {
         if let Ok(parsed) = SignedMessage::decode(&mutated) {
             decoded_ok += 1;
             // A structurally-valid mutation must still fail one of the
-            // two signature links or decode to different payload bytes
-            // covered by the signature; acceptance would be a forgery.
+            // two signature links (the quorum endorsement or the feed
+            // signature) or decode to different payload bytes covered
+            // by the signature; acceptance would be a forgery.
             if parsed.verify(&trust).is_ok() {
                 // Only acceptable if the mutation reconstructed the
                 // exact original message.
@@ -88,14 +95,15 @@ fn mutated_feed_messages_never_verify() {
 
 #[test]
 fn mutated_checkpoints_never_verify() {
-    let coordinator = CoordinatorKey::from_seed([3; 32], 4).unwrap();
-    let key = FeedKey::new([4; 32], 8, &coordinator).unwrap();
+    let authority = authority(3);
+    let key = FeedKey::new_quorum([4; 32], 8, &authority).unwrap();
+    let trust = FeedTrust::quorum(authority.trust());
     let mut log = nrslb::rsf::TransparencyLog::new();
     let msg = key
         .sign(nrslb::rsf::signing::MessageKind::Delta, b"payload")
         .unwrap();
     log.append(&msg);
-    let checkpoint = log.checkpoint(&key).unwrap();
+    let checkpoint = log.checkpoint(&key, &authority).unwrap();
     let bytes = checkpoint.encode();
 
     let mut rng = Lcg(0xc4ec);
@@ -105,7 +113,7 @@ fn mutated_checkpoints_never_verify() {
             continue;
         }
         if let Ok(parsed) = Checkpoint::decode(&mutated) {
-            if parsed.verify(&key.public()).is_ok() {
+            if parsed.verify(&key.public(), &trust).is_ok() {
                 assert_eq!(parsed.encode(), bytes, "mutated checkpoint verified!");
             }
         }

@@ -7,8 +7,19 @@ use nrslb::core::{Usage, ValidationMode, Validator};
 use nrslb::incidents::catalog::{symantec, JUNE_1ST_2016};
 use nrslb::incidents::pki::{intermediate_ca, leaf, root_ca, NOW_2017};
 use nrslb::rootstore::{Gcc, GccMetadata, RootStore};
-use nrslb::rsf::{CoordinatorKey, FeedKey, FeedPublisher, FeedTrust, Subscriber};
+use nrslb::rsf::{FeedKey, FeedPublisher, FeedTrust, QuorumAuthority, QuorumConfig, Subscriber};
 use std::sync::Arc;
+
+/// A 2-of-3 quorum-governed feed of `primary` and a derivative `name`
+/// pinning the quorum. Each signer signs the endorsement and one
+/// checkpoint witness per sync; these tests sync once.
+fn quorum_feed(seed: u8, primary: &RootStore, name: &str) -> (FeedPublisher, Subscriber) {
+    let authority = QuorumAuthority::from_seed([seed; 32], QuorumConfig { k: 2, n: 3 }, 2).unwrap();
+    let derivative = Subscriber::builder(name, FeedTrust::quorum(authority.trust())).build();
+    let feed_key = FeedKey::new_quorum([seed + 1; 32], 4, &authority).unwrap();
+    let publisher = FeedPublisher::new_quorum("nss", feed_key, authority, primary, 0).unwrap();
+    (publisher, derivative)
+}
 
 /// The headline flow: a primary expresses partial distrust as a GCC,
 /// distributes it over a signed feed, and a derivative's validator
@@ -36,11 +47,7 @@ fn partial_distrust_travels_from_primary_to_derivative_clients() {
     primary.attach_gcc(gcc).unwrap();
 
     // -- Distribution: signed feed, hourly-poll derivative --
-    let coordinator = CoordinatorKey::from_seed([0x73; 32], 4).unwrap();
-    let feed_key = FeedKey::new([0x74; 32], 6, &coordinator).unwrap();
-    let mut publisher = FeedPublisher::new("nss", feed_key, &primary, 0).unwrap();
-    let mut derivative =
-        Subscriber::builder("debian", FeedTrust::single(coordinator.public())).build();
+    let (mut publisher, mut derivative) = quorum_feed(0x73, &primary, "debian");
     let report = derivative.sync(&mut publisher, 0).unwrap();
     assert!(report.snapshot_applied);
 
@@ -200,10 +207,7 @@ fn feed_roundtrip_preserves_fingerprints() {
     let mut primary = RootStore::new("nss");
     primary.add_trusted(pki.root.clone()).unwrap();
 
-    let coordinator = CoordinatorKey::from_seed([0x78; 32], 4).unwrap();
-    let feed_key = FeedKey::new([0x79; 32], 4, &coordinator).unwrap();
-    let mut publisher = FeedPublisher::new("nss", feed_key, &primary, 0).unwrap();
-    let mut sub = Subscriber::builder("sub", FeedTrust::single(coordinator.public())).build();
+    let (mut publisher, mut sub) = quorum_feed(0x78, &primary, "sub");
     sub.sync(&mut publisher, 0).unwrap();
     let rec = sub.store().record(&pki.root.fingerprint()).unwrap();
     assert_eq!(rec.cert.to_der(), pki.root.to_der());

@@ -6,6 +6,7 @@ use nrslb::core::daemon::{ephemeral_socket_path, TrustDaemon};
 use nrslb::core::validate::ValidatorConfig;
 use nrslb::core::{RejectReason, Usage, ValidationMode, Validator};
 use nrslb::rootstore::{Gcc, GccMetadata, RootStore};
+use nrslb::rsf::{FeedKey, FeedPublisher, FeedTrust, QuorumAuthority, QuorumConfig, Subscriber};
 use nrslb::x509::builder::{CaKey, CertificateBuilder};
 use nrslb::x509::extensions::NameConstraints;
 use nrslb::x509::name::DotSemantics;
@@ -169,9 +170,20 @@ fn daemon_serves_concurrent_clients() {
     }
 }
 
+/// A 2-of-3 quorum-governed feed of `primary` and a derivative pinning
+/// the quorum. Each signer signs the endorsement and one checkpoint
+/// witness per published change the derivative syncs: two here.
+fn quorum_feed(seed: u8, primary: &RootStore) -> (FeedPublisher, Subscriber) {
+    let authority = QuorumAuthority::from_seed([seed; 32], QuorumConfig { k: 2, n: 3 }, 2).unwrap();
+    let derivative =
+        Subscriber::builder("derivative", FeedTrust::quorum(authority.trust())).build();
+    let key = FeedKey::new_quorum([seed + 1; 32], 8, &authority).unwrap();
+    let publisher = FeedPublisher::new_quorum("nss", key, authority, primary, 0).unwrap();
+    (publisher, derivative)
+}
+
 #[test]
 fn feed_retracts_gcc_and_derivative_follows() {
-    use nrslb::rsf::{CoordinatorKey, FeedKey, FeedPublisher, FeedTrust, Subscriber};
     let pki = nrslb::x509::testutil::simple_chain("retract.example");
     let mut primary = RootStore::new("nss");
     primary.add_trusted(pki.root.clone()).unwrap();
@@ -184,11 +196,7 @@ fn feed_retracts_gcc_and_derivative_follows() {
     .unwrap();
     primary.attach_gcc(gcc.clone()).unwrap();
 
-    let coordinator = CoordinatorKey::from_seed([0xb4; 32], 4).unwrap();
-    let key = FeedKey::new([0xb5; 32], 8, &coordinator).unwrap();
-    let mut publisher = FeedPublisher::new("nss", key, &primary, 0).unwrap();
-    let mut derivative =
-        Subscriber::builder("derivative", FeedTrust::single(coordinator.public())).build();
+    let (mut publisher, mut derivative) = quorum_feed(0xb4, &primary);
     derivative.sync(&mut publisher, 0).unwrap();
     // Derivative clients reject everything under the root.
     let check = |store: &RootStore| {
@@ -219,16 +227,11 @@ fn feed_retracts_gcc_and_derivative_follows() {
 
 #[test]
 fn systematic_constraint_change_propagates() {
-    use nrslb::rsf::{CoordinatorKey, FeedKey, FeedPublisher, FeedTrust, Subscriber};
     let pki = nrslb::x509::testutil::simple_chain("sysprop.example");
     let mut primary = RootStore::new("nss");
     primary.add_trusted(pki.root.clone()).unwrap();
 
-    let coordinator = CoordinatorKey::from_seed([0xb6; 32], 4).unwrap();
-    let key = FeedKey::new([0xb7; 32], 8, &coordinator).unwrap();
-    let mut publisher = FeedPublisher::new("nss", key, &primary, 0).unwrap();
-    let mut derivative =
-        Subscriber::builder("derivative", FeedTrust::single(coordinator.public())).build();
+    let (mut publisher, mut derivative) = quorum_feed(0xb6, &primary);
     derivative.sync(&mut publisher, 0).unwrap();
     assert!(
         derivative
